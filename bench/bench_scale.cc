@@ -15,9 +15,8 @@
 //           from-scratch planning — and every simulated-time digest must
 //           match between the two.
 //
-//   waves   The wallclock-style array engine at 5k streams with payload
-//           verification ON, run at 1 and 8 workers: digests must be
-//           byte-identical, and the PagePool counters show the pooled
+//   waves   The planned-round array path at 5k streams over 8 members with
+//           payload verification ON: the PagePool counters show the pooled
 //           read path recycling pages instead of allocating per block.
 //
 // tools/check_scale.py gates digest equality (hard) and near-linear
@@ -39,7 +38,6 @@
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
 #include "src/sim/workload.h"
-#include "src/util/worker_pool.h"
 
 namespace vafs {
 namespace {
@@ -90,7 +88,6 @@ struct ScaleOutcome {
   const char* part = "sweep";
   int64_t viewers = 0;
   const char* mode = "incremental";
-  int workers = 1;
   int64_t admitted = 0;
   int64_t sessions_batched = 0;
   int64_t sessions_merged = 0;
@@ -237,10 +234,9 @@ DiskParameters WaveDisk() {
   return params;
 }
 
-// Wallclock-style engine at `viewers` streams over an 8-member array with
-// payload verification on: the pooled read path carries every wave, and
-// the digests must not move with the worker count.
-ScaleOutcome RunWaves(int64_t viewers, int workers) {
+// Planned rounds at `viewers` streams over an 8-member array with payload
+// verification on: the pooled read path carries every wave.
+ScaleOutcome RunWaves(int64_t viewers) {
   const MediaProfile video = UvcCompressedVideo();
   Disk disk(WaveDisk(), DiskOptions{.retain_data = false});
   StrandStore store(&disk);
@@ -274,7 +270,6 @@ ScaleOutcome RunWaves(int64_t viewers, int workers) {
   }
 
   DiskArray array(WaveDisk(), 8);
-  WorkerPool pool(workers);
   BlockCache cache(BlockCacheOptions{.capacity_bytes = 8 << 20});
 
   Simulator sim;
@@ -286,7 +281,6 @@ ScaleOutcome RunWaves(int64_t viewers, int workers) {
   SchedulerOptions options;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.worker_pool = &pool;
   options.verify_payloads = true;
   options.bypass_admission = true;
   options.forced_k = 1;
@@ -299,7 +293,6 @@ ScaleOutcome RunWaves(int64_t viewers, int workers) {
   ScaleOutcome outcome;
   outcome.part = "waves";
   outcome.viewers = viewers;
-  outcome.workers = workers;
   for (int64_t v = 0; v < viewers; ++v) {
     PlaybackRequest request;
     request.blocks = strands[static_cast<size_t>(v % kStrands)];
@@ -352,7 +345,7 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
     const ScaleOutcome& run = outcomes[i];
     std::fprintf(
         file,
-        "      {\"part\": \"%s\", \"viewers\": %lld, \"mode\": \"%s\", \"workers\": %d,\n"
+        "      {\"part\": \"%s\", \"viewers\": %lld, \"mode\": \"%s\",\n"
         "       \"admitted\": %lld, \"sessions_batched\": %lld, \"sessions_merged\": %lld,\n"
         "       \"wall_sec\": %.6f, \"rounds\": %lld, \"rounds_per_sec\": %.3f,\n"
         "       \"stream_round_cost_wall_sec\": %.6f,\n"
@@ -362,7 +355,7 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
         "       \"planner_inputs_seen\": %lld, \"planner_inputs_reused\": %lld,\n"
         "       \"planner_groups_resorted\": %lld, \"planner_full_sort_fallbacks\": %lld,\n"
         "       \"pool_created\": %lld, \"pool_recycled\": %lld, \"pool_outstanding\": %lld}%s\n",
-        run.part, static_cast<long long>(run.viewers), run.mode, run.workers,
+        run.part, static_cast<long long>(run.viewers), run.mode,
         static_cast<long long>(run.admitted), static_cast<long long>(run.sessions_batched),
         static_cast<long long>(run.sessions_merged), run.wall_sec,
         static_cast<long long>(run.rounds), run.rounds_per_sec, run.stream_round_cost_wall_sec,
@@ -407,18 +400,16 @@ void PrintScaleTables() {
       outcomes.push_back(RunSweep(viewers, /*incremental=*/false));
     }
   }
-  std::fprintf(stderr, "waves %lld x1...\n", static_cast<long long>(kDeterminismSize));
-  outcomes.push_back(RunWaves(kDeterminismSize, /*workers=*/1));
-  std::fprintf(stderr, "waves %lld x8...\n", static_cast<long long>(kDeterminismSize));
-  outcomes.push_back(RunWaves(kDeterminismSize, /*workers=*/8));
+  std::fprintf(stderr, "waves %lld...\n", static_cast<long long>(kDeterminismSize));
+  outcomes.push_back(RunWaves(kDeterminismSize));
 
-  std::printf("%6s | %7s | %12s | %3s | %9s | %7s | %11s | %11s | %16s\n", "part", "viewers",
-              "mode", "wk", "wall (s)", "rounds", "rounds/sec", "us/strm-rnd", "trace digest");
+  std::printf("%6s | %7s | %12s | %9s | %7s | %11s | %11s | %16s\n", "part", "viewers", "mode",
+              "wall (s)", "rounds", "rounds/sec", "us/strm-rnd", "trace digest");
   for (const ScaleOutcome& run : outcomes) {
-    std::printf("%6s | %7" PRId64 " | %12s | %3d | %9.3f | %7" PRId64
+    std::printf("%6s | %7" PRId64 " | %12s | %9.3f | %7" PRId64
                 " | %11.1f | %11.3f | %016" PRIx64 "\n",
-                run.part, run.viewers, run.mode, run.workers, run.wall_sec, run.rounds,
-                run.rounds_per_sec, run.stream_round_cost_wall_sec, run.trace_digest);
+                run.part, run.viewers, run.mode, run.wall_sec, run.rounds, run.rounds_per_sec,
+                run.stream_round_cost_wall_sec, run.trace_digest);
   }
 
   // Receipts the checker gates on (printed for the human too).
@@ -437,17 +428,12 @@ void PrintScaleTables() {
     std::printf("incremental == from-scratch planning: %s\n",
                 same ? "yes" : "NO -- DETERMINISM BROKEN");
   }
-  const ScaleOutcome& w1 = outcomes[outcomes.size() - 2];
-  const ScaleOutcome& w8 = outcomes[outcomes.size() - 1];
-  const bool workers_same =
-      w1.trace_digest == w8.trace_digest && w1.slo_digest == w8.slo_digest &&
-      w1.payload_digest == w8.payload_digest && w1.completion == w8.completion;
-  std::printf("1-worker == 8-worker waves: %s\n",
-              workers_same ? "yes" : "NO -- DETERMINISM BROKEN");
+  const ScaleOutcome& waves = outcomes.back();
   std::printf("pooled reads: %" PRId64 " pages created, %" PRId64 " recycled (%.1f%% reuse)\n",
-              w1.pool_created, w1.pool_recycled,
-              100.0 * static_cast<double>(w1.pool_recycled) /
-                  static_cast<double>(std::max<int64_t>(w1.pool_created + w1.pool_recycled, 1)));
+              waves.pool_created, waves.pool_recycled,
+              100.0 * static_cast<double>(waves.pool_recycled) /
+                  static_cast<double>(
+                      std::max<int64_t>(waves.pool_created + waves.pool_recycled, 1)));
 
   WriteScaleJson(outcomes);
 }

@@ -1,16 +1,18 @@
-// Wall-clock execution engine: rounds/sec at 1/2/4/8 workers over an
-// 8-member array, with determinism receipts.
+// Wall-clock execution engine: a multi-node cluster run at 1/2/4/8
+// workers, with determinism receipts.
 //
-// The same planned-round workload (8 streams, one strand each, spread
-// across the array's address space, payload checksumming ON so every
-// member task carries real CPU) runs once per worker count. For each run
-// the bench reports wall-clock rounds/sec plus four digests of the
-// simulated-time results — trace stream, SLO report, payload CRCs and the
-// final completion time. The engine's contract is that every digest is
-// identical across worker counts; tools/check_wallclock.py gates on that
-// (hard) and on multi-worker throughput >= single-worker (relaxed to
-// advisory when the runner has one hardware thread, where no speedup is
-// physically possible).
+// The engine spends host cores at the grain that pays: between two epoch
+// barriers the coordinator advances every storage node as one pool task
+// (DESIGN.md section 12). The same seeded cluster run (Zipf viewers with a
+// flash crowd, one node killed mid-epoch, spans on) runs once per worker
+// count; only ClusterCoordinator::Run is timed. For each run the bench
+// reports wall-clock node-rounds/sec plus digests of the simulated-time
+// results: the cluster Signature(), ClusterSloJson(), every node's retained
+// trace log and the stream the shared template sink received. The
+// engine's contract is that every digest is identical across worker
+// counts; tools/check_wallclock.py gates on that (hard) and on multi-worker
+// throughput >= single-worker (relaxed to advisory when the runner has one
+// hardware thread, where no speedup is physically possible).
 //
 // CI gates on BENCH_wallclock_metrics.json via tools/check_wallclock.py.
 
@@ -24,40 +26,63 @@
 #include <vector>
 
 #include "bench/bench_support.h"
-#include "src/disk/disk_array.h"
-#include "src/msm/recorder.h"
-#include "src/msm/service_scheduler.h"
+#include "src/cluster/cluster.h"
+#include "src/sim/workload.h"
 #include "src/util/worker_pool.h"
 
 namespace vafs {
 namespace {
 
-constexpr int kMembers = 8;
-constexpr int kStreams = 8;
-constexpr double kStreamSeconds = 20.0;
+constexpr int kNodes = 8;
+constexpr int64_t kTitles = 16;
+constexpr int64_t kHotTitles = 4;
+constexpr double kTitleSec = 8.0;
+constexpr double kArrivalSec = 4.0;
+constexpr double kArrivalsPerSec = 600.0;
+constexpr double kEpochSec = 0.25;
 constexpr int kWorkerCounts[] = {1, 2, 4, 8};
 
-// Seek-dominated member geometry (as in bench_roundplan): waves carry
-// enough mechanical time that per-member tasks are worth parallelizing.
-DiskParameters WallclockDisk() {
+// Flash-class geometry (microsecond positioning, ~16 GB/s): its Eq. 17
+// ceiling sits far above the per-node load, so every node carries a few
+// hundred live streams and an epoch is real host work.
+DiskParameters FlashDisk() {
   DiskParameters params;
-  params.cylinders = 5000;
-  params.surfaces = 16;
-  params.sectors_per_track = 256;
-  params.rpm = 15000.0;
-  params.min_seek_ms = 5.0;
-  params.max_seek_ms = 50.0;
+  params.cylinders = 8192;
+  params.surfaces = 8;
+  params.sectors_per_track = 64;
+  params.bytes_per_sector = 512;
+  params.rpm = 30'000'000.0;
+  params.min_seek_ms = 0.0005;
+  params.max_seek_ms = 0.001;
   return params;
 }
 
-// Folds every trace event summary into one order-sensitive digest without
-// retaining the log (FNV-1a over the rendered bytes).
-class TraceDigest : public obs::TraceSink {
+uint64_t Fnv(uint64_t digest, uint64_t value) {
+  for (int byte = 0; byte < 8; ++byte) {
+    digest = (digest ^ ((value >> (8 * byte)) & 0xff)) * 1099511628211ULL;
+  }
+  return digest;
+}
+
+uint64_t FnvOf(const std::string& text) {
+  uint64_t digest = 14695981039346656037ULL;
+  for (const char c : text) {
+    digest = (digest ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+  }
+  return digest;
+}
+
+// The shared template sink: folds the identifying fields of every event
+// into one order-sensitive digest. Cheap on purpose, because it runs on
+// the coordinator thread when the nodes' held events are flushed.
+class StreamDigest : public obs::TraceSink {
  public:
   void OnEvent(const obs::TraceEvent& event) override {
-    const std::string line = obs::TraceEventSummary(event);
-    for (const char c : line) {
-      digest_ = (digest_ ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+    for (const int64_t field :
+         {static_cast<int64_t>(event.kind), event.time, event.round, event.node,
+          static_cast<int64_t>(event.request), event.blocks, event.duration,
+          static_cast<int64_t>(event.span_id)}) {
+      digest_ = Fnv(digest_, static_cast<uint64_t>(field));
     }
     ++events_;
   }
@@ -69,104 +94,105 @@ class TraceDigest : public obs::TraceSink {
   int64_t events_ = 0;
 };
 
-uint64_t FnvOf(const std::string& text) {
-  uint64_t digest = 14695981039346656037ULL;
-  for (const char c : text) {
-    digest = (digest ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
-  }
-  return digest;
-}
-
 struct WallclockOutcome {
   int workers = 0;
   double wall_sec = 0.0;
-  int64_t rounds = 0;
+  int64_t epochs = 0;
+  int64_t rounds = 0;  // summed over nodes
   double rounds_per_sec = 0.0;
-  int admitted = 0;
-  uint64_t trace_digest = 0;
-  int64_t trace_events = 0;
+  int64_t viewers = 0;
+  int64_t admitted = 0;
+  int64_t failed_over = 0;
+  bool audits_clean = false;
+  uint64_t signature_digest = 0;
   uint64_t slo_digest = 0;
-  uint64_t payload_digest = 0;
-  SimTime completion = 0;
+  std::vector<uint64_t> node_trace_digests;  // each node's retained log
+  uint64_t shared_digest = 0;
+  int64_t shared_events = 0;
 };
 
-// One full workload on `workers` wall-clock workers. Everything is built
-// fresh (no state leaks between worker counts); only RunUntilIdle is
-// timed.
+cluster::ClusterOptions Options(WorkerPool* pool, obs::TraceSink* shared) {
+  cluster::ClusterOptions options;
+  options.nodes = kNodes;
+  FileSystemConfig& node = options.node_config;
+  node.disk = FlashDisk();
+  node.video_device = UvcDisplay();
+  node.audio_device = AudioDisplay();
+  node.retain_data = false;
+  node.assumed_avg_scattering_sec = 0.5e-6;
+  node.scheduler.service_order = ServiceOrder::kPlanned;
+  node.scheduler.batch_activation = true;
+  node.scheduler.worker_pool = pool;
+  node.scheduler.trace = shared;
+  node.block_cache.capacity_bytes = int64_t{8} << 20;
+  node.sessions.batch_window_sec = 1.0;
+  node.sessions.max_patch_blocks = 256;
+  node.telemetry.spans = true;
+  options.media = UvcCompressedVideo();
+  options.epoch_sec = kEpochSec;
+  options.hot_replicas = 2;
+  options.cold_replicas = 1;
+  return options;
+}
+
+// One full cluster run on `workers` wall-clock workers. Everything is
+// built fresh (no state leaks between worker counts); only Run is timed.
 WallclockOutcome RunWorkload(int workers) {
-  const MediaProfile video = UvcCompressedVideo();
-  Disk disk(WallclockDisk(), DiskOptions{.retain_data = false});
-  StrandStore store(&disk);
-  const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
-  ContinuityModel model(storage, UvcDisplay());
-  const StrandPlacement placement =
-      *model.DerivePlacement(RetrievalArchitecture::kPipelined, video);
-
-  const int64_t blocks_per_stream =
-      static_cast<int64_t>(kStreamSeconds * video.units_per_sec) / placement.granularity;
-  const std::vector<uint8_t> payload(
-      static_cast<size_t>(placement.granularity * video.bits_per_unit / 8), 0x5A);
-  std::vector<std::vector<PrimaryEntry>> strands;
-  for (int s = 0; s < kStreams; ++s) {
-    Result<std::unique_ptr<StrandWriter>> writer = store.CreateStrand(video, placement);
-    (*writer)->SetAllocationHint(s * (disk.total_sectors() / kStreams));
-    for (int64_t b = 0; b < blocks_per_stream; ++b) {
-      (void)(*writer)->AppendBlock(payload);
-    }
-    const StrandId id = *(*writer)->Finish(blocks_per_stream * placement.granularity);
-    const Strand* strand = *store.Get(id);
-    std::vector<PrimaryEntry> blocks;
-    for (int64_t b = 0; b < strand->block_count(); ++b) {
-      blocks.push_back(*strand->index().Lookup(b));
-    }
-    strands.push_back(std::move(blocks));
-  }
-
-  // Members retain data so the payload CRC reads real bytes back.
-  DiskArray array(WallclockDisk(), kMembers);
   WorkerPool pool(workers);
+  StreamDigest shared;
+  cluster::ClusterCoordinator coordinator(Options(&pool, &shared));
+  for (int64_t t = 0; t < kTitles; ++t) {
+    if (!coordinator.AddTitle(t, 4200 + static_cast<uint64_t>(t), kTitleSec, t < kHotTitles)
+             .ok()) {
+      std::fprintf(stderr, "AddTitle %lld failed\n", static_cast<long long>(t));
+      return {};
+    }
+  }
+  sim::WorkloadOptions workload;
+  workload.titles = kTitles;
+  workload.duration_sec = kArrivalSec;
+  workload.arrival_rate_per_sec = kArrivalsPerSec;
+  workload.flash_start_sec = 1.0;
+  workload.flash_duration_sec = 0.5;
+  workload.flash_rate_multiplier = 3.0;
+  workload.flash_title_bias = 0.9;
+  workload.seed = 20261017;
+  sim::WorkloadOptions::NodeFailure kill;
+  kill.time_sec = 2.1;  // mid-epoch
+  kill.node = 3;
+  workload.node_failures = {kill};
+  const sim::WorkloadEngine engine(workload);
+  const std::vector<sim::WorkloadArrival> arrivals = engine.Generate();
+  const double until_sec = kArrivalSec + kTitleSec + 2.0 * kEpochSec;
 
-  Simulator sim;
-  TraceDigest trace;
-  obs::SloTracker slo;
-  obs::TeeSink tee;
-  tee.Add(&trace);
-  tee.Add(&slo);
-  SchedulerOptions options;
-  options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
-  options.worker_pool = &pool;
-  options.verify_payloads = true;
-  options.trace = &tee;
-  ServiceScheduler scheduler(&store, &sim, AdmissionControl(storage, store.AverageScatteringSec()),
-                             options);
+  const auto start = std::chrono::steady_clock::now();
+  coordinator.Run(arrivals, engine.FailureSchedule(), until_sec);
+  const auto stop = std::chrono::steady_clock::now();
 
   WallclockOutcome outcome;
   outcome.workers = workers;
-  for (int s = 0; s < kStreams; ++s) {
-    PlaybackRequest request;
-    request.blocks = strands[static_cast<size_t>(s)];
-    request.block_duration =
-        SecondsToUsec(static_cast<double>(placement.granularity) / video.units_per_sec);
-    request.spec = RequestSpec{video, placement.granularity};
-    if (scheduler.SubmitPlayback(std::move(request)).ok()) {
-      ++outcome.admitted;
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  scheduler.RunUntilIdle();
-  const auto stop = std::chrono::steady_clock::now();
-
   outcome.wall_sec = std::chrono::duration<double>(stop - start).count();
-  outcome.rounds = scheduler.rounds_executed();
+  outcome.epochs = static_cast<int64_t>(SecondsToUsec(until_sec) / SecondsToUsec(kEpochSec));
+  for (int n = 0; n < coordinator.nodes(); ++n) {
+    MultimediaFileSystem& fs = coordinator.node(n).fs();
+    outcome.rounds += fs.scheduler().rounds_executed();
+    uint64_t digest =
+        Fnv(14695981039346656037ULL, static_cast<uint64_t>(fs.trace_log()->dropped()));
+    for (const obs::TraceEvent& event : fs.trace_log()->events()) {
+      digest = Fnv(digest, FnvOf(obs::TraceEventSummary(event)));
+    }
+    outcome.node_trace_digests.push_back(digest);
+  }
   outcome.rounds_per_sec =
       outcome.wall_sec > 0.0 ? static_cast<double>(outcome.rounds) / outcome.wall_sec : 0.0;
-  outcome.trace_digest = trace.digest();
-  outcome.trace_events = trace.events();
-  outcome.slo_digest = FnvOf(slo.Report().ToJson());
-  outcome.payload_digest = scheduler.payload_digest();
-  outcome.completion = sim.Now();
+  outcome.viewers = static_cast<int64_t>(arrivals.size());
+  outcome.admitted = coordinator.census().admitted;
+  outcome.failed_over = coordinator.census().failed_over;
+  outcome.audits_clean = coordinator.AuditsClean();
+  outcome.signature_digest = FnvOf(coordinator.Signature());
+  outcome.slo_digest = FnvOf(coordinator.ClusterSloJson());
+  outcome.shared_digest = shared.digest();
+  outcome.shared_events = shared.events();
   return outcome;
 }
 
@@ -181,23 +207,37 @@ void WriteWallclockJson(const std::vector<WallclockOutcome>& outcomes) {
                "{\n"
                "  \"wallclock\": {\n"
                "    \"hardware_concurrency\": %u,\n"
-               "    \"members\": %d,\n"
-               "    \"streams\": %d,\n"
+               "    \"nodes\": %d,\n"
                "    \"runs\": [\n",
-               std::thread::hardware_concurrency(), kMembers, kStreams);
+               std::thread::hardware_concurrency(), kNodes);
   for (size_t i = 0; i < outcomes.size(); ++i) {
     const WallclockOutcome& run = outcomes[i];
+    std::string node_digests;
+    for (size_t n = 0; n < run.node_trace_digests.size(); ++n) {
+      char hex[24];
+      std::snprintf(hex, sizeof(hex), "%s\"%016" PRIx64 "\"", n > 0 ? ", " : "",
+                    run.node_trace_digests[n]);
+      node_digests += hex;
+    }
     std::fprintf(file,
-                 "      {\"workers\": %d, \"wall_sec\": %.6f, \"rounds\": %lld,\n"
-                 "       \"rounds_per_sec\": %.3f, \"admitted\": %d,\n"
-                 "       \"trace_digest\": \"%016" PRIx64 "\", \"trace_events\": %lld,\n"
+                 "      {\"workers\": %d, \"wall_sec\": %.6f, \"epochs\": %lld,\n"
+                 "       \"rounds\": %lld, \"rounds_per_sec\": %.3f,\n"
+                 "       \"speedup_vs_1\": %.3f,\n"
+                 "       \"viewers\": %lld, \"admitted\": %lld, \"failed_over\": %lld,\n"
+                 "       \"audits_clean\": %s,\n"
+                 "       \"signature_digest\": \"%016" PRIx64 "\",\n"
                  "       \"slo_digest\": \"%016" PRIx64 "\",\n"
-                 "       \"payload_digest\": \"%016" PRIx64 "\",\n"
-                 "       \"completion_usec\": %lld}%s\n",
-                 run.workers, run.wall_sec, static_cast<long long>(run.rounds),
-                 run.rounds_per_sec, run.admitted, run.trace_digest,
-                 static_cast<long long>(run.trace_events), run.slo_digest, run.payload_digest,
-                 static_cast<long long>(run.completion),
+                 "       \"shared_digest\": \"%016" PRIx64 "\", \"shared_events\": %lld,\n"
+                 "       \"node_trace_digests\": [%s]}%s\n",
+                 run.workers, run.wall_sec, static_cast<long long>(run.epochs),
+                 static_cast<long long>(run.rounds), run.rounds_per_sec,
+                 outcomes[0].wall_sec > 0.0 && run.wall_sec > 0.0
+                     ? outcomes[0].wall_sec / run.wall_sec
+                     : 0.0,
+                 static_cast<long long>(run.viewers), static_cast<long long>(run.admitted),
+                 static_cast<long long>(run.failed_over), run.audits_clean ? "true" : "false",
+                 run.signature_digest, run.slo_digest, run.shared_digest,
+                 static_cast<long long>(run.shared_events), node_digests.c_str(),
                  i + 1 < outcomes.size() ? "," : "");
   }
   std::fprintf(file,
@@ -209,30 +249,37 @@ void WriteWallclockJson(const std::vector<WallclockOutcome>& outcomes) {
 }
 
 void PrintWallclockTables() {
-  PrintHeader("wall-clock engine", "parallel member waves, identical simulated results");
-  PrintOperatingPoint(WallclockDisk());
-  std::printf("host threads: %u, array members: %d, streams: %d\n",
-              std::thread::hardware_concurrency(), kMembers, kStreams);
+  PrintHeader("wall-clock engine", "parallel node epochs, identical simulated results");
+  PrintOperatingPoint(FlashDisk());
+  std::printf("host threads: %u, nodes: %d, titles: %lld\n", std::thread::hardware_concurrency(),
+              kNodes, static_cast<long long>(kTitles));
 
   std::vector<WallclockOutcome> outcomes;
   for (const int workers : kWorkerCounts) {
     outcomes.push_back(RunWorkload(workers));
   }
 
-  std::printf("%8s | %9s | %7s | %11s | %16s | %16s\n", "workers", "wall (s)", "rounds",
-              "rounds/sec", "trace digest", "payload digest");
+  std::printf("%8s | %9s | %8s | %11s | %7s | %16s | %16s\n", "workers", "wall (s)", "rounds",
+              "rounds/sec", "speedup", "signature", "shared stream");
   for (const WallclockOutcome& run : outcomes) {
-    std::printf("%8d | %9.3f | %7" PRId64 " | %11.1f | %016" PRIx64 " | %016" PRIx64 "\n",
-                run.workers, run.wall_sec, run.rounds, run.rounds_per_sec, run.trace_digest,
-                run.payload_digest);
+    std::printf("%8d | %9.3f | %8" PRId64 " | %11.1f | %6.2fx | %016" PRIx64 " | %016" PRIx64
+                "\n",
+                run.workers, run.wall_sec, run.rounds, run.rounds_per_sec,
+                run.wall_sec > 0.0 ? outcomes[0].wall_sec / run.wall_sec : 0.0,
+                run.signature_digest, run.shared_digest);
   }
+  std::printf("%lld viewers, %lld admitted, %lld failed over; audits %s\n",
+              static_cast<long long>(outcomes[0].viewers),
+              static_cast<long long>(outcomes[0].admitted),
+              static_cast<long long>(outcomes[0].failed_over),
+              outcomes[0].audits_clean ? "clean" : "DIRTY");
 
   bool identical = true;
   for (const WallclockOutcome& run : outcomes) {
-    identical = identical && run.trace_digest == outcomes[0].trace_digest &&
+    identical = identical && run.signature_digest == outcomes[0].signature_digest &&
                 run.slo_digest == outcomes[0].slo_digest &&
-                run.payload_digest == outcomes[0].payload_digest &&
-                run.completion == outcomes[0].completion && run.rounds == outcomes[0].rounds;
+                run.node_trace_digests == outcomes[0].node_trace_digests &&
+                run.shared_digest == outcomes[0].shared_digest && run.rounds == outcomes[0].rounds;
   }
   std::printf("simulated-time results identical across worker counts: %s\n",
               identical ? "yes" : "NO -- DETERMINISM BROKEN");
@@ -241,13 +288,13 @@ void PrintWallclockTables() {
   WriteWallclockJson(outcomes);
 }
 
-void BM_WallclockRound(benchmark::State& state) {
+void BM_WallclockCluster(benchmark::State& state) {
   const int workers = static_cast<int>(state.range(0));
   for (auto _ : state) {
     benchmark::DoNotOptimize(RunWorkload(workers).rounds);
   }
 }
-BENCHMARK(BM_WallclockRound)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WallclockCluster)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vafs

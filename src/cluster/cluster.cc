@@ -35,7 +35,7 @@ const char* NodeStateName(NodeState state) {
   return "?";
 }
 
-StorageNode::StorageNode(int id, const FileSystemConfig& config, obs::TraceSink* extra_sink)
+StorageNode::StorageNode(int id, const FileSystemConfig& config)
     : id_(id), auditor_(obs::AuditorOptions{.round_time_slack = 0.05}) {
   FileSystemConfig node_config = config;
   // The coordinator admits viewers through OpenSession and reads per-node
@@ -47,14 +47,20 @@ StorageNode::StorageNode(int id, const FileSystemConfig& config, obs::TraceSink*
   node_config.telemetry.node_id = id;
   user_tee_.Add(&auditor_);
   if (config.scheduler.trace != nullptr) {
-    user_tee_.Add(config.scheduler.trace);
-  }
-  if (extra_sink != nullptr) {
-    user_tee_.Add(extra_sink);
+    relay_.shared = config.scheduler.trace;
+    user_tee_.Add(&relay_);
   }
   node_config.scheduler.trace = &user_tee_;
   fs_ = std::make_unique<MultimediaFileSystem>(node_config);
 }
+
+void StorageNode::RunEpoch(SimTime until) {
+  relay_.holding = true;
+  fs_->simulator().RunUntil(until);
+  relay_.holding = false;
+}
+
+void StorageNode::FlushShared() { relay_.held.FlushTo(relay_.shared); }
 
 ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
     : options_(std::move(options)),
@@ -66,10 +72,16 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
   if (options_.trace != nullptr) {
     tee_.Add(options_.trace);
   }
+  if (options_.node_config.scheduler.worker_pool == nullptr) {
+    // One pool for the whole cluster: without it every node's facade
+    // would build its own.
+    owned_pool_ = std::make_unique<WorkerPool>(WorkerPool::WorkersFromEnv());
+    options_.node_config.scheduler.worker_pool = owned_pool_.get();
+  }
   const int count = std::max(options_.nodes, 1);
   nodes_.reserve(static_cast<size_t>(count));
   for (int id = 0; id < count; ++id) {
-    nodes_.push_back(std::make_unique<StorageNode>(id, options_.node_config, nullptr));
+    nodes_.push_back(std::make_unique<StorageNode>(id, options_.node_config));
   }
   routed_load_.assign(static_cast<size_t>(count), 0);
 }
@@ -261,6 +273,7 @@ void ClusterCoordinator::RunWindow(const std::vector<sim::WorkloadArrival>& arri
 
   // Arrivals are routed at the window start (deterministic view of node
   // state) and admitted at their exact arrival instant on the owner.
+  const size_t first_new = viewers_.size();
   while (*next_arrival < arrivals.size() &&
          arrivals[*next_arrival].time_sec < window_end_sec) {
     const sim::WorkloadArrival& arrival = arrivals[*next_arrival];
@@ -275,13 +288,11 @@ void ClusterCoordinator::RunWindow(const std::vector<sim::WorkloadArrival>& arri
     const auto title_it = titles_.find(arrival.title);
     if (title_it == titles_.end()) {
       record.state = ViewerRecord::State::kRejected;
-      ++census_.rejected;
       continue;
     }
     const std::vector<int> candidates = RouteCandidates(title_it->second);
     if (candidates.empty()) {
       record.state = ViewerRecord::State::kRejected;  // every replica is down
-      ++census_.rejected;
       continue;
     }
     const int node_id = candidates.front();
@@ -308,6 +319,8 @@ void ClusterCoordinator::RunWindow(const std::vector<sim::WorkloadArrival>& arri
     StorageNode* node = nodes_[static_cast<size_t>(node_id)].get();
     const RopeId rope = title_it->second.replicas.at(node_id);
     const double duration = title_it->second.duration_sec;
+    // The callback runs inside the node's epoch task, so it writes only its
+    // own record (viewers_ does not grow while tasks run).
     const size_t index = viewers_.size() - 1;
     node->fs().simulator().ScheduleAt(
         SecondsToUsec(arrival.time_sec), [this, node, rope, duration, index]() {
@@ -318,17 +331,33 @@ void ClusterCoordinator::RunWindow(const std::vector<sim::WorkloadArrival>& arri
             pending.ticket = *ticket;
             pending.state = ViewerRecord::State::kViewing;
             pending.open_sec = static_cast<double>(node->fs().simulator().Now()) / 1e6;
-            ++census_.admitted;
           } else {
             pending.state = ViewerRecord::State::kRejected;
-            ++census_.rejected;
           }
         });
   }
 
-  // Lockstep advance, fixed node order: cross-node determinism.
+  // Between boundaries the nodes share nothing: one task per node, joined
+  // here. A one-worker pool runs them inline in node order.
+  std::vector<WorkerPool::Task> tasks;
+  tasks.reserve(nodes_.size());
   for (const std::unique_ptr<StorageNode>& node : nodes_) {
-    node->fs().simulator().RunUntil(window_end);
+    StorageNode* target = node.get();
+    tasks.push_back([target, window_end] { target->RunEpoch(window_end); });
+  }
+  options_.node_config.scheduler.worker_pool->RunAll(std::move(tasks));
+
+  // Barrier passed: the shared sink sees the node streams in node order,
+  // exactly as a sequential advance would have emitted them.
+  for (const std::unique_ptr<StorageNode>& node : nodes_) {
+    node->FlushShared();
+  }
+  for (size_t i = first_new; i < viewers_.size(); ++i) {
+    if (viewers_[i].state == ViewerRecord::State::kViewing) {
+      ++census_.admitted;
+    } else if (viewers_[i].state == ViewerRecord::State::kRejected) {
+      ++census_.rejected;
+    }
   }
 }
 

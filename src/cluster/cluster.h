@@ -43,11 +43,19 @@
 //    recovered image cannot substantiate, before readmitting the node
 //    (kNodeUp) to the routing tables.
 //
-// Determinism: all cross-node decisions happen at epoch boundaries in
-// fixed node order, each node's simulator advances in lockstep, and the
-// per-node wall-clock engine is byte-identical for any VAFS_WORKERS —
-// so a seeded cluster run (arrivals + failure schedule) replays
-// identically for any worker count.
+// Parallel epochs and determinism: between two boundaries the nodes share
+// nothing, so each epoch runs as one WorkerPool task per node, joined at
+// the boundary. A task touches only its own node: its simulator, its
+// viewers' ViewerRecords and a private buffer standing in for the shared
+// template sink (node_config.scheduler.trace). After the join the
+// coordinator flushes those buffers in node order, counts the window's
+// admissions, and makes every cross-node decision on its own thread in
+// fixed node order. The shared sink therefore sees the sequential event
+// stream byte for byte, and a seeded cluster run (arrivals + failure
+// schedule) replays identically for any worker count. Node tasks never
+// call into the pool themselves, which is why CheckpointAll and the
+// restart's Recover (both of which use Crc64Parallel on the pool) run on
+// the coordinator thread only.
 
 #ifndef VAFS_SRC_CLUSTER_CLUSTER_H_
 #define VAFS_SRC_CLUSTER_CLUSTER_H_
@@ -64,6 +72,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/workload.h"
+#include "src/util/worker_pool.h"
 #include "src/vafs/file_system.h"
 
 namespace vafs {
@@ -73,6 +82,10 @@ struct ClusterOptions {
   int nodes = 1;
   // Per-node stack template; each node gets its own copy (telemetry and
   // the session layer are forced on — routing admits through OpenSession).
+  // Its scheduler.worker_pool runs the per-node epoch tasks and is shared
+  // by every node; when null, the coordinator builds one pool from
+  // VAFS_WORKERS. Its scheduler.trace is shared by every node too, and
+  // receives the node event streams in node order.
   FileSystemConfig node_config;
   // Profile of every clustered title (titles are seeded synthetic video).
   MediaProfile media;
@@ -112,7 +125,10 @@ const char* NodeStateName(NodeState state);
 // round trace is checked independently.
 class StorageNode {
  public:
-  StorageNode(int id, const FileSystemConfig& config, obs::TraceSink* extra_sink);
+  StorageNode(int id, const FileSystemConfig& config);
+  // Epoch tasks and the node's tee hold its address.
+  StorageNode(const StorageNode&) = delete;
+  StorageNode& operator=(const StorageNode&) = delete;
 
   int id() const { return id_; }
   NodeState state() const { return state_; }
@@ -122,11 +138,35 @@ class StorageNode {
   obs::ContinuityAuditor& auditor() { return auditor_; }
   const obs::ContinuityAuditor& auditor() const { return auditor_; }
 
+  // Advances the node's simulator to `until` (one epoch task). What the
+  // node forwards to the shared template sink meanwhile is held in a
+  // private buffer, so concurrent tasks never touch the shared sink.
+  void RunEpoch(SimTime until);
+  // Replays the held events into the shared sink (coordinator thread,
+  // after the join).
+  void FlushShared();
+
  private:
+  // Forwards to the shared template sink, or into `held` while an epoch
+  // task runs.
+  struct SharedRelay : obs::TraceSink {
+    void OnEvent(const obs::TraceEvent& event) override {
+      if (holding) {
+        held.OnEvent(event);
+      } else {
+        shared->OnEvent(event);
+      }
+    }
+    obs::TraceSink* shared = nullptr;
+    obs::BufferedTraceSink held;
+    bool holding = false;
+  };
+
   int id_;
   NodeState state_ = NodeState::kUp;
   obs::ContinuityAuditor auditor_;
-  obs::TeeSink user_tee_;  // auditor + any template-supplied sink
+  SharedRelay relay_;
+  obs::TeeSink user_tee_;  // auditor + relay to the template-supplied sink
   std::unique_ptr<MultimediaFileSystem> fs_;
 };
 
@@ -257,10 +297,16 @@ class ClusterCoordinator {
   void RunRepairs();
   void SweepFinished();
   // Schedules arrivals and kills landing in [now_, now_ + epoch) on their
-  // nodes' simulators, then advances every node to the window end.
+  // nodes' simulators, advances every node to the window end (one pool
+  // task per node), then flushes the nodes' held shared-sink events in
+  // node order and counts the window's admissions.
   void RunWindow(const std::vector<sim::WorkloadArrival>& arrivals, size_t* next_arrival,
                  size_t* next_death);
 
+  // The pool the node epochs run on: node_config.scheduler.worker_pool,
+  // or owned_pool_ when the embedder supplied none. Declared before nodes_
+  // so it outlives them.
+  std::unique_ptr<WorkerPool> owned_pool_;
   ClusterOptions options_;
   obs::TraceLog trace_log_;
   obs::MetricsRegistry metrics_;

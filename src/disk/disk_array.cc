@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <string>
+#include <utility>
 
-#include "src/obs/trace.h"
 #include "src/util/checksum.h"
-#include "src/util/worker_pool.h"
 
 namespace vafs {
 
@@ -47,48 +46,21 @@ Status DiskArray::ValidateBatch(const std::vector<BatchRequest>& batch) const {
   return Status::Ok();
 }
 
-void DiskArray::DispatchBatch(const std::vector<BatchRequest>& batch,
-                              const std::function<void(size_t)>& serve, BatchOutcome* outcome) {
-  // Redirect each participating member's trace stream into a private
-  // buffer, so parallel tasks cannot interleave emissions in the shared
-  // sink graph. The swap happens before dispatch and the replay after the
-  // join, both on the coordinating thread; inside the window each task
-  // exclusively owns its member Disk and therefore its buffer.
-  std::vector<obs::BufferedTraceSink> buffers(batch.size());
-  std::vector<obs::TraceSink*> original(batch.size(), nullptr);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Disk& disk = *disks_[static_cast<size_t>(batch[i].member)];
-    original[i] = disk.trace_sink();
-    if (original[i] != nullptr) {
-      disk.set_trace_sink(&buffers[i]);
+void DiskArray::RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
+                           std::span<const uint8_t> payload, BatchOutcome* outcome) const {
+  MemberOutcome fate;
+  if (service.ok()) {
+    fate.service = *service;
+    if (checksum_payloads_ && !payload.empty()) {
+      fate.payload_crc = Crc64(payload);
     }
-  }
-  if (pool_ != nullptr && pool_->workers() > 1 && batch.size() > 1) {
-    std::vector<WorkerPool::Task> tasks;
-    tasks.reserve(batch.size());
-    for (size_t i = 0; i < batch.size(); ++i) {
-      tasks.push_back([&serve, i] { serve(i); });
-    }
-    pool_->RunAll(std::move(tasks));
   } else {
-    for (size_t i = 0; i < batch.size(); ++i) {
-      serve(i);
-    }
+    // A faulted arm still moved: its mechanism time counts toward the wave.
+    fate.status = service.status();
+    fate.service = disks_[static_cast<size_t>(request.member)]->last_fault_service();
   }
-  // Barrier passed: replay traces in batch order. Serial execution emits
-  // request 0's events, then request 1's, and so on — replaying the
-  // buffers in that same order makes the downstream stream byte-identical
-  // for any worker count.
-  for (size_t i = 0; i < batch.size(); ++i) {
-    Disk& disk = *disks_[static_cast<size_t>(batch[i].member)];
-    if (original[i] != nullptr) {
-      disk.set_trace_sink(original[i]);
-      buffers[i].FlushTo(original[i]);
-    }
-  }
-  for (const MemberOutcome& fate : outcome->per_request) {
-    outcome->completion_time = std::max(outcome->completion_time, fate.service);
-  }
+  outcome->completion_time = std::max(outcome->completion_time, fate.service);
+  outcome->per_request.push_back(std::move(fate));
 }
 
 Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequest>& batch,
@@ -96,30 +68,14 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
   if (Status status = ValidateBatch(batch); !status.ok()) {
     return status;
   }
+  std::vector<std::vector<uint8_t>*> pages;
   if (out != nullptr) {
     out->assign(batch.size(), {});
-  }
-  BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, out, &outcome, checksum](size_t i) {
-    const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
-    std::vector<uint8_t>* slot = out != nullptr ? &(*out)[i] : nullptr;
-    Result<SimDuration> service = disk.Read(request.start_sector, request.sectors, slot);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-      if (checksum && slot != nullptr && !slot->empty()) {
-        fate.payload_crc = Crc64(*slot);
-      }
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
+    for (std::vector<uint8_t>& page : *out) {
+      pages.push_back(&page);
     }
-  };
-  DispatchBatch(batch, serve, &outcome);
-  return outcome;
+  }
+  return ReadBatchInto(batch, pages);
 }
 
 Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
@@ -131,25 +87,16 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
     return Status(ErrorCode::kInvalidArgument, "page count does not match batch size");
   }
   BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, &pages, &outcome, checksum](size_t i) {
+  outcome.per_request.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
     const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
     std::vector<uint8_t>* slot = pages.empty() ? nullptr : pages[i];
-    Result<SimDuration> service = disk.Read(request.start_sector, request.sectors, slot);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-      if (checksum && slot != nullptr && !slot->empty()) {
-        fate.payload_crc = Crc64(*slot);
-      }
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
-    }
-  };
-  DispatchBatch(batch, serve, &outcome);
+    const Result<SimDuration> service =
+        member(request.member).Read(request.start_sector, request.sectors, slot);
+    RecordFate(request, service,
+               slot != nullptr ? std::span<const uint8_t>(*slot) : std::span<const uint8_t>(),
+               &outcome);
+  }
   return outcome;
 }
 
@@ -162,26 +109,15 @@ Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchReq
     return Status(ErrorCode::kInvalidArgument, "payload count does not match batch size");
   }
   BatchOutcome outcome;
-  outcome.per_request.resize(batch.size());
-  const bool checksum = checksum_payloads_;
-  auto serve = [this, &batch, &data, &outcome, checksum](size_t i) {
+  outcome.per_request.reserve(batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
     const BatchRequest& request = batch[i];
-    Disk& disk = *disks_[static_cast<size_t>(request.member)];
-    std::span<const uint8_t> payload =
+    const std::span<const uint8_t> payload =
         data.empty() ? std::span<const uint8_t>() : std::span<const uint8_t>(data[i]);
-    Result<SimDuration> service = disk.Write(request.start_sector, request.sectors, payload);
-    MemberOutcome& fate = outcome.per_request[i];
-    if (service.ok()) {
-      fate.service = *service;
-      if (checksum && !payload.empty()) {
-        fate.payload_crc = Crc64(payload);
-      }
-    } else {
-      fate.status = service.status();
-      fate.service = disk.last_fault_service();
-    }
-  };
-  DispatchBatch(batch, serve, &outcome);
+    const Result<SimDuration> service =
+        member(request.member).Write(request.start_sector, request.sectors, payload);
+    RecordFate(request, service, payload, &outcome);
+  }
   return outcome;
 }
 

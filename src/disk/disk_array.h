@@ -15,23 +15,19 @@
 // call as a whole. Member fault schedules are decorrelated by deriving
 // each member's injector seed from the array seed and the member index.
 //
-// Wall-clock execution (DESIGN.md section 12): with set_worker_pool, the
-// requests of a batch run as real parallel tasks — one task per member —
-// joined at a barrier before the call returns. The one-request-per-member
-// rule that ValidateBatch enforces is what makes this safe without locks:
-// each task exclusively owns its member Disk (arm state, sector store,
-// fault injector are all per member), its own output slot and its own
-// MemberOutcome, so tasks share no mutable state. Member trace emissions
-// are buffered per request and replayed in batch order at the barrier, so
-// the trace stream, completion_time (= max over members, Eq. 11) and all
-// simulated-time results are byte-identical for any worker count.
+// Host execution: the requests of a batch are simulated one after another
+// in batch order on the caller's thread, and completion_time is the max
+// over members (Eq. 11), not the sum. Wall-clock parallelism lives one
+// level up, at the grain of whole cluster nodes (DESIGN.md section 12):
+// one wave is microseconds of simulated disk work, too fine to amortize a
+// barrier.
 
 #ifndef VAFS_SRC_DISK_DISK_ARRAY_H_
 #define VAFS_SRC_DISK_DISK_ARRAY_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/disk/disk.h"
@@ -39,8 +35,6 @@
 #include "src/util/time.h"
 
 namespace vafs {
-
-class WorkerPool;
 
 class DiskArray {
  public:
@@ -68,9 +62,9 @@ class DiskArray {
   struct MemberOutcome {
     Status status = Status::Ok();
     SimDuration service = 0;
-    // CRC-64 of the payload moved by this request, computed inside the
-    // member's task when set_checksum_payloads(true); 0 otherwise (or when
-    // the request faulted / carried no data).
+    // CRC-64 of the payload moved by this request, computed when
+    // set_checksum_payloads(true); 0 otherwise (or when the request
+    // faulted / carried no data).
     uint64_t payload_crc = 0;
   };
 
@@ -130,42 +124,26 @@ class DiskArray {
   // paper's HDTV feasibility argument sweeps.
   double AggregateTransferRateBitsPerSec() const;
 
-  // Wall-clock parallelism: when set (non-owning; must outlive the array),
-  // batch requests run as one task per member on the pool, joined before
-  // the call returns. Null (the default) or a 1-worker pool executes the
-  // batch inline — the sequential reference every parallel run must match
-  // byte for byte.
-  void set_worker_pool(WorkerPool* pool) { pool_ = pool; }
-  WorkerPool* worker_pool() const { return pool_; }
-
-  // When true, each request's task also computes the CRC-64 of the bytes
-  // it moved into MemberOutcome::payload_crc. This is real per-task CPU
-  // work (the simulated mechanics cost nanoseconds of host time), so it is
-  // both an end-to-end integrity check and the load that makes wall-clock
-  // parallelism measurable. Requires retain_data on the members to see
-  // non-empty payloads.
+  // When true, each request also computes the CRC-64 of the bytes it
+  // moved into MemberOutcome::payload_crc: an end-to-end integrity check.
+  // Requires retain_data on the members to see non-empty payloads.
   void set_checksum_payloads(bool on) { checksum_payloads_ = on; }
   bool checksum_payloads() const { return checksum_payloads_; }
 
  private:
-  // Rejecting two requests on one member is not a modeling nicety: it is
-  // the data-ownership rule of the parallel engine. One request per member
-  // means one task per Disk, so tasks never share arm state, stores or
-  // fault injectors and the wave needs no locks. Callers with deeper
+  // One arm serves one request at a time: two requests on one member are
+  // not concurrent, so they cannot share a batch. Callers with deeper
   // queues (the scheduler's C-SCAN member queues) issue one wave per queue
   // depth instead.
   Status ValidateBatch(const std::vector<BatchRequest>& batch) const;
 
-  // Shared execution engine for Read/WriteBatch: redirects member traces
-  // into per-request buffers, runs `serve(i)` for every request (on the
-  // pool when configured, inline otherwise), then at the barrier restores
-  // the sinks, replays the buffers in batch order and folds
-  // completion_time = max over members.
-  void DispatchBatch(const std::vector<BatchRequest>& batch,
-                     const std::function<void(size_t)>& serve, BatchOutcome* outcome);
+  // Appends one request's fate to `outcome` (for a faulted request, the
+  // mechanical time its arm spent) and folds completion_time = max over
+  // members. `payload` is what the request moved, for the checksum.
+  void RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
+                  std::span<const uint8_t> payload, BatchOutcome* outcome) const;
 
   std::vector<std::unique_ptr<Disk>> disks_;
-  WorkerPool* pool_ = nullptr;
   bool checksum_payloads_ = false;
 };
 

@@ -18,9 +18,6 @@ ServiceScheduler::ServiceScheduler(StrandStore* store, Simulator* simulator,
     : store_(store), simulator_(simulator), admission_(std::move(admission)), options_(options) {
   admission_.set_trace_sink(options_.trace);
   if (options_.disk_array != nullptr) {
-    // Wall-clock engine wiring: the array owns parallel dispatch; the
-    // scheduler only decides batch composition and folds the results.
-    options_.disk_array->set_worker_pool(options_.worker_pool);
     options_.disk_array->set_checksum_payloads(options_.verify_payloads);
   }
 }
@@ -1239,10 +1236,8 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         break;
       }
       const SimTime wave_start = *now;
-      // With verify_payloads the wave reads real data and each member task
-      // CRCs its own payload behind the join barrier (see DiskArray). The
-      // pages are acquired and released on the scheduler thread only, so
-      // pool state stays deterministic for any worker count.
+      // With verify_payloads the wave reads real data and each member
+      // request CRCs its own payload (see DiskArray).
       wave_pages_.clear();
       if (options_.verify_payloads) {
         for (const DiskArray::BatchRequest& request : batch) {
@@ -1256,8 +1251,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       }
       *now = wave_start + outcome->completion_time;
 
-      // Span bookkeeping happens on the scheduler thread at the wave
-      // barrier, in batch order — independent of worker scheduling. The
+      // Span bookkeeping happens after the wave, in batch order. The
       // wave's ledger charge goes to its slowest arm (the wave completes
       // when that arm does): its reposition is seek, the rest the
       // dominant transfer's own stage.
@@ -1287,8 +1281,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         const PlannedTransfer& transfer = *wave[i];
         const DiskArray::MemberOutcome& member_outcome = outcome->per_request[i];
         if (options_.verify_payloads && member_outcome.status.ok()) {
-          // Fold in batch order at the barrier: the digest is independent
-          // of which worker finished first.
+          // Fold in batch order.
           payload_digest_ = (payload_digest_ ^ member_outcome.payload_crc) * 1099511628211ULL;
         }
         attribute(transfer, member_outcome.service);

@@ -48,6 +48,8 @@
 
 namespace vafs {
 
+class WorkerPool;
+
 using RequestId = uint64_t;
 
 // A fully resolved playback request: the block locations in playback
@@ -142,17 +144,15 @@ struct SchedulerOptions {
   // on the store's primary spindle. Member geometry must match the store
   // disk. Must outlive the scheduler.
   DiskArray* disk_array = nullptr;
-  // Wall-clock execution engine (DESIGN.md section 12): pool the array's
-  // member waves run on as real parallel tasks. Null (or 1 worker) keeps
-  // every wave inline — the sequential reference execution. Simulated-time
-  // results are byte-identical either way; only host CPU time changes.
-  // Must outlive the scheduler. Requires disk_array to have any effect.
+  // Wall-clock worker pool (DESIGN.md section 12), shared by the embedding
+  // stack: MultimediaFileSystem checksums its catalog on it at checkpoint
+  // and recovery, and ClusterCoordinator runs one task per node per epoch
+  // on it. The scheduler itself never submits work, so rounds always run
+  // on the calling thread. Must outlive the scheduler.
   WorkerPool* worker_pool = nullptr;
   // End-to-end payload verification: planned waves read block data and
-  // each member task folds a CRC-64 of the bytes it moved; the scheduler
-  // combines them in batch order into payload_digest(). The hashing runs
-  // inside the member tasks (on the pool when one is set), keeping the
-  // checksum work off the round's critical path.
+  // each member request folds a CRC-64 of the bytes it moved; the scheduler
+  // combines them in batch order into payload_digest().
   bool verify_payloads = false;
   // Cache-aware admission (kPlanned + cache only): a playback request the
   // Eq. 17 test rejects is still admitted when at least
@@ -187,7 +187,7 @@ struct SchedulerOptions {
   // round root, per-wave, per-transfer, retry/append/cache sub-spans —
   // with ids derived from (node, round, stage, ordinal), plus a per-stage
   // service-time ledger on the root that partitions the round exactly.
-  // All spans are emitted on the scheduler thread in batch order, so the
+  // All spans are emitted on the scheduler's thread in batch order, so the
   // stream is byte-identical for any worker_pool size.
   bool emit_spans = false;
   // Storage-node id stamped on this scheduler's trace events and woven
@@ -228,8 +228,8 @@ class ServiceScheduler {
 
   // Running FNV-1a-style fold of every payload CRC the planned waves
   // computed (SchedulerOptions::verify_payloads), combined in batch order
-  // at each wave barrier — deterministic for any worker count. The offset
-  // basis when verification is off or nothing transferred yet.
+  // after each wave. The offset basis when verification is off or nothing
+  // transferred yet.
   uint64_t payload_digest() const { return payload_digest_; }
 
   // Marks a request as a stream-merging patch: its transfers are charged

@@ -329,8 +329,10 @@ void ContinuityAuditor::OnEvent(const TraceEvent& event) {
       // The scheduler was rebuilt from a checkpoint: every in-flight request
       // died with the crash, so the replayed ledger starts empty. Keeping
       // pre-crash entries would flag phantom slots against the fresh
-      // scheduler's (correctly empty) snapshots.
+      // scheduler's (correctly empty) snapshots. The incremental ledger
+      // counts those entries, so it restarts from zero with them.
       requests_.clear();
+      ledger_ = SlotSnapshot{};
       pending_cache_.clear();
       sessions_.clear();
       previous_round_k_ = -1;

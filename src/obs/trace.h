@@ -242,12 +242,12 @@ class TraceLog : public TraceSink {
 
 // Buffers events for later ordered replay into another sink. This is the
 // determinism seam of the wall-clock execution engine (DESIGN.md section
-// 12): during a parallel DiskArray wave each member disk emits into its
-// own private buffer, and at the wave barrier the buffers are flushed in
-// member order — so the downstream sink graph (log, auditor, metrics,
-// SLO) sees a byte-identical stream for any worker count, including 1.
-// A BufferedTraceSink itself is single-threaded: one owner writes it, and
-// flushing happens after the join barrier.
+// 12): while cluster nodes advance an epoch in parallel, each node holds
+// what it forwards to a sink shared by all nodes in its own buffer, and
+// after the epoch barrier the buffers are flushed in node order — so the
+// shared sink sees a byte-identical stream for any worker count,
+// including 1. A BufferedTraceSink itself is single-threaded: one owner
+// writes it, and flushing happens after the join barrier.
 class BufferedTraceSink : public TraceSink {
  public:
   void OnEvent(const TraceEvent& event) override { events_.push_back(event); }

@@ -1,10 +1,9 @@
-// Fixed-size worker pool for wall-clock parallelism inside one simulated
-// round.
+// Fixed-size worker pool for wall-clock parallelism.
 //
 // The simulator's timing semantics are single-threaded and deterministic;
 // the pool exists only to spend real CPU faster on work that is already
-// independent in simulated time — the per-member requests of one DiskArray
-// wave, chunked CRC-64 sweeps, exporter serialization. Two execution
+// independent in simulated time — cluster nodes between two epoch
+// barriers, chunked CRC-64 sweeps, exporter serialization. Two execution
 // shapes are offered:
 //
 //  - RunAll: a parallel-for with a join barrier. The call returns only
@@ -16,7 +15,7 @@
 //
 // A pool of one worker never spawns a thread: tasks run inline on the
 // caller in index order, giving the exact sequential reference semantics
-// that multi-worker runs are tested against (tests/wallclock_test.cc).
+// that multi-worker runs are tested against (tests/criticalpath_test.cc).
 // The pool size comes from the caller or the VAFS_WORKERS environment
 // knob (see README).
 

@@ -1,7 +1,9 @@
 // Cluster sharding and failover (src/cluster/): placement, routing,
 // node-loss failover within the stamped bound, explicit load shedding,
-// journal-replay restart with catalog reconciliation, token-bucket
-// re-replication, and byte-identical replay of a seeded failure run.
+// journal-replay restart with catalog reconciliation (audited clean even
+// when the dead node held requests nobody stopped), token-bucket
+// re-replication, byte-identical replay of a seeded failure run, and
+// node-order delivery to a shared sink while nodes run in parallel.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "src/cluster/cluster.h"
 #include "src/obs/trace.h"
 #include "src/sim/workload.h"
+#include "src/util/worker_pool.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -230,6 +233,38 @@ TEST(ClusterTest, RestartReplaysJournalAndReconcilesCatalog) {
   EXPECT_TRUE(coordinator.AuditsClean()) << coordinator.AuditReport();
 }
 
+TEST(ClusterTest, RestartedNodeAuditsCleanAfterLosingUnfencedRequests) {
+  ClusterCoordinator coordinator(TestClusterOptions(2));
+  ASSERT_TRUE(coordinator.AddTitle(0, 100, 4.0, /*hot=*/true).ok());
+  ASSERT_TRUE(coordinator.CheckpointAll().ok());
+  // A stream started on node 0 directly, not through the coordinator: the
+  // coordinator never fences it, so it is still in flight when the node
+  // dies and when its scheduler is rebuilt at restart.
+  MultimediaFileSystem& fs = coordinator.node(0).fs();
+  ASSERT_TRUE(fs.Play("local", *coordinator.ReplicaRope(0, 0), Medium::kVideo,
+                      TimeInterval{0.0, 4.0})
+                  .ok());
+
+  sim::WorkloadOptions::NodeFailure kill;
+  kill.time_sec = 0.5;
+  kill.node = 0;
+  kill.restart_after_sec = 1.0;
+  coordinator.Run({}, {kill}, 3.0);
+  ASSERT_EQ(coordinator.census().nodes_restarted, 1);
+  ASSERT_EQ(coordinator.node(0).state(), NodeState::kUp);
+
+  // Fresh viewers alternate between the two replica holders, so the
+  // restarted node runs admission again against its rebuilt scheduler.
+  coordinator.Run(ArrivalsAt({{3.1, 0}, {3.15, 0}, {3.2, 0}, {3.25, 0}}), {}, 9.0);
+  EXPECT_EQ(coordinator.census().admitted, 4);
+  int on_restarted = 0;
+  for (const ViewerRecord& viewer : coordinator.viewers()) {
+    on_restarted += viewer.node == 0 ? 1 : 0;
+  }
+  EXPECT_GT(on_restarted, 0);
+  EXPECT_TRUE(coordinator.AuditsClean()) << coordinator.AuditReport();
+}
+
 TEST(ClusterTest, RepairTokenBucketRestoresLostReplicas) {
   ClusterOptions options = TestClusterOptions(3);
   options.repair_tokens_per_epoch = 1;  // several epochs to afford one title
@@ -292,6 +327,66 @@ TEST(ClusterTest, SeededFailureRunReplaysByteIdentically) {
   EXPECT_EQ(run_once(&slo_a), run_once(&slo_b));
   EXPECT_EQ(slo_a, slo_b);
   EXPECT_NE(slo_a.find("\"kind\":\"vafs.slo.cluster\""), std::string::npos);
+}
+
+TEST(ClusterTest, SharedSinkReceivesEachEpochInNodeOrder) {
+  // A sequential advance hands the shared template sink node 0's epoch,
+  // then node 1's, and so on. Each node's own log sees its events in the
+  // order the shared sink does, and here no boundary work emits node
+  // events, so every epoch's shared events must be the nodes' new log
+  // entries concatenated in node order — even with the nodes running on
+  // four workers at once.
+  constexpr int kNodes = 4;
+  WorkerPool pool(4);
+  obs::TraceLog shared;
+  ClusterOptions options = TestClusterOptions(kNodes);
+  options.node_config.scheduler.worker_pool = &pool;
+  options.node_config.scheduler.trace = &shared;
+  options.node_config.telemetry.trace_capacity = 0;  // retain everything
+  ClusterCoordinator coordinator(options);
+  for (int64_t t = 0; t < kNodes; ++t) {
+    ASSERT_TRUE(coordinator.AddTitle(t, 100 + static_cast<uint64_t>(t), 2.0, /*hot=*/false).ok());
+  }
+  const std::vector<sim::WorkloadArrival> arrivals =
+      ArrivalsAt({{0.05, 0}, {0.06, 1}, {0.07, 2}, {0.08, 3}, {0.3, 0}, {0.31, 2}});
+
+  const auto render = [](const std::vector<obs::TraceEvent>& events, size_t from) {
+    std::string text;
+    for (size_t i = from; i < events.size(); ++i) {
+      text += obs::TraceEventSummary(events[i]) + "\n";
+    }
+    return text;
+  };
+  std::vector<size_t> node_seen;
+  for (int n = 0; n < kNodes; ++n) {
+    node_seen.push_back(coordinator.node(n).fs().trace_log()->events().size());
+  }
+  size_t shared_seen = shared.events().size();
+  size_t next = 0;
+  int concurrent_epochs = 0;
+  for (int epoch = 0; epoch < 12; ++epoch) {
+    const double end_sec = options.epoch_sec * (epoch + 1);
+    std::vector<sim::WorkloadArrival> slice;
+    while (next < arrivals.size() && arrivals[next].time_sec < end_sec) {
+      slice.push_back(arrivals[next++]);
+    }
+    coordinator.Run(slice, {}, end_sec);
+
+    std::string expected;
+    int emitting = 0;
+    for (int n = 0; n < kNodes; ++n) {
+      const std::vector<obs::TraceEvent>& events = coordinator.node(n).fs().trace_log()->events();
+      emitting += events.size() > node_seen[n] ? 1 : 0;
+      expected += render(events, node_seen[n]);
+      node_seen[n] = events.size();
+    }
+    EXPECT_EQ(render(shared.events(), shared_seen), expected) << "epoch " << epoch;
+    shared_seen = shared.events().size();
+    concurrent_epochs += emitting >= 2 ? 1 : 0;
+  }
+  EXPECT_EQ(coordinator.census().admitted, 6);
+  EXPECT_GE(concurrent_epochs, 4) << "too few epochs with several nodes at work";
+  EXPECT_TRUE(coordinator.AuditsClean()) << coordinator.AuditReport();
 }
 
 }  // namespace

@@ -10,11 +10,12 @@
 //    the analyzer's dominant verdict names the largest charge;
 //  - faulted runs charge a visible kRetry share;
 //  - the streaming analyzer and the static Analyze() walk agree;
-//  - on a faulted multi-node cluster run, every exported artifact
-//    (trace summaries, Perfetto, Prometheus, JSON snapshot, folded
-//    stacks, critical-path JSON, cluster signature) is byte-identical
-//    across worker counts {1, 2, 8} — the PR 7 invariant extended to the
-//    span layer.
+//  - on faulted 2- and 4-node cluster runs, whose nodes advance each
+//    epoch as parallel pool tasks, every exported artifact (trace
+//    summaries, the shared template sink's stream, census and viewer
+//    records, Perfetto, Prometheus, JSON snapshot, folded stacks,
+//    critical-path JSON, cluster signature) is byte-identical across
+//    worker counts {1, 2, 8}.
 
 #include <gtest/gtest.h>
 
@@ -207,28 +208,41 @@ TEST(CriticalPathTest, ArtifactsAreWellFormed) {
   }
 }
 
-// --- Satellite 3: exporter byte-identity across worker counts -------------
+// --- Parallel node epochs: byte-identity across worker counts -------------
 
-// One faulted 2-node cluster run on `workers` wall-clock workers, every
-// external artifact rendered to bytes.
+// One faulted cluster run on `workers` wall-clock workers, every external
+// artifact rendered to bytes.
 struct ClusterImage {
   std::string signature;
   std::string slo_json;
   std::string critical_path_json;
   std::string node_traces;
+  std::string shared_trace;  // the template sink every node forwards to
+  std::string census;
+  std::string viewers;
   std::string perfetto;
   std::string prometheus;
   std::string snapshots;
   std::string folded;
+  int64_t shared_events = 0;
+  int first_window_nodes = 0;  // nodes that admitted a viewer in epoch 0
 };
 
-ClusterImage RunFaultedCluster(int workers) {
+// Two scenarios, both killing node 0 mid-epoch at 1.4 s:
+//  - 2 nodes, one hot title, three viewers;
+//  - 4 nodes, one hot and three cold titles, eight viewers of every title
+//    arriving in the first two epochs, so several nodes admit inside the
+//    same window (the kill then sheds the cold title node 0 alone held and
+//    fails the hot title's viewers over).
+ClusterImage RunFaultedCluster(int workers, int nodes) {
   WorkerPool pool(workers);
+  obs::TraceLog shared(0);  // outlives the coordinator
   cluster::ClusterOptions options;
-  options.nodes = 2;
+  options.nodes = nodes;
   options.node_config = TestConfig();
   options.node_config.scheduler.service_order = ServiceOrder::kPlanned;
   options.node_config.scheduler.worker_pool = &pool;
+  options.node_config.scheduler.trace = &shared;
   options.node_config.block_cache.capacity_bytes = 1 << 22;
   options.node_config.sessions.batch_window_sec = 1.0;
   options.node_config.sessions.max_patch_blocks = 64;
@@ -241,15 +255,24 @@ ClusterImage RunFaultedCluster(int workers) {
   options.cold_replicas = 1;
   options.failover_bound_epochs = 2;
   cluster::ClusterCoordinator coordinator(options);
-  EXPECT_TRUE(coordinator.AddTitle(0, 100, 4.0, /*hot=*/true).ok());
+  const int64_t titles = nodes == 2 ? 1 : nodes;
+  for (int64_t t = 0; t < titles; ++t) {
+    EXPECT_TRUE(coordinator.AddTitle(t, 100 + static_cast<uint64_t>(t), 4.0, /*hot=*/t == 0).ok());
+  }
   EXPECT_TRUE(coordinator.CheckpointAll().ok());
 
   std::vector<sim::WorkloadArrival> arrivals;
-  for (double time_sec : {0.1, 0.2, 0.5}) {
-    sim::WorkloadArrival arrival;
-    arrival.time_sec = time_sec;
-    arrival.title = 0;
-    arrivals.push_back(arrival);
+  const std::vector<double> times =
+      nodes == 2 ? std::vector<double>{0.1, 0.2, 0.5} : std::vector<double>{0.05, 0.3};
+  for (const double time_sec : times) {
+    for (int64_t t = 0; t < titles; ++t) {
+      for (int copy = 0; copy < (nodes == 2 ? 1 : 4); ++copy) {
+        sim::WorkloadArrival arrival;
+        arrival.time_sec = time_sec + 0.01 * static_cast<double>(t * 4 + copy);
+        arrival.title = t;
+        arrivals.push_back(arrival);
+      }
+    }
   }
   sim::WorkloadOptions::NodeFailure kill;
   kill.time_sec = 1.4;
@@ -259,6 +282,33 @@ ClusterImage RunFaultedCluster(int workers) {
   ClusterImage image;
   image.signature = coordinator.Signature();
   image.slo_json = coordinator.ClusterSloJson();
+  for (const obs::TraceEvent& event : shared.events()) {
+    image.shared_trace += obs::TraceEventSummary(event);
+    image.shared_trace += '\n';
+  }
+  image.shared_events = static_cast<int64_t>(shared.events().size());
+  const cluster::ClusterCensus& census = coordinator.census();
+  for (const int64_t count :
+       {census.admitted, census.rejected, census.finished, census.failed_over, census.shed,
+        census.nodes_killed, census.nodes_restarted, census.re_replications,
+        census.repair_blocks, census.repair_failures}) {
+    image.census += std::to_string(count) + " ";
+  }
+  std::vector<bool> first_window(static_cast<size_t>(nodes), false);
+  for (const cluster::ViewerRecord& viewer : coordinator.viewers()) {
+    image.viewers += std::to_string(viewer.id) + " node=" + std::to_string(viewer.node) +
+                     " state=" + std::to_string(static_cast<int>(viewer.state)) +
+                     " open=" + std::to_string(viewer.open_sec) +
+                     " start=" + std::to_string(viewer.start_sec) +
+                     " request=" + std::to_string(viewer.ticket.request) +
+                     " failovers=" + std::to_string(viewer.failovers) + "\n";
+    if (viewer.failovers == 0 && viewer.node >= 0 && viewer.open_sec < options.epoch_sec &&
+        viewer.state != cluster::ViewerRecord::State::kRejected) {
+      first_window[static_cast<size_t>(viewer.node)] = true;
+    }
+  }
+  image.first_window_nodes =
+      static_cast<int>(std::count(first_window.begin(), first_window.end(), true));
   std::vector<obs::RoundCriticalPath> merged;
   for (int n = 0; n < coordinator.nodes(); ++n) {
     MultimediaFileSystem& fs = coordinator.node(n).fs();
@@ -277,11 +327,27 @@ ClusterImage RunFaultedCluster(int workers) {
     }
   }
   image.critical_path_json = obs::CriticalPathAnalyzer::ToJson(merged);
+  EXPECT_TRUE(coordinator.AuditsClean()) << coordinator.AuditReport();
   return image;
 }
 
+void ExpectSameClusterImage(const ClusterImage& image, const ClusterImage& reference,
+                            int workers) {
+  EXPECT_EQ(image.signature, reference.signature) << "workers=" << workers;
+  EXPECT_EQ(image.slo_json, reference.slo_json) << "workers=" << workers;
+  EXPECT_EQ(image.critical_path_json, reference.critical_path_json) << "workers=" << workers;
+  EXPECT_EQ(image.node_traces, reference.node_traces) << "workers=" << workers;
+  EXPECT_EQ(image.shared_trace, reference.shared_trace) << "workers=" << workers;
+  EXPECT_EQ(image.census, reference.census) << "workers=" << workers;
+  EXPECT_EQ(image.viewers, reference.viewers) << "workers=" << workers;
+  EXPECT_EQ(image.perfetto, reference.perfetto) << "workers=" << workers;
+  EXPECT_EQ(image.prometheus, reference.prometheus) << "workers=" << workers;
+  EXPECT_EQ(image.snapshots, reference.snapshots) << "workers=" << workers;
+  EXPECT_EQ(image.folded, reference.folded) << "workers=" << workers;
+}
+
 TEST(SpanClusterDeterminismTest, ExportsAreByteIdenticalAcrossWorkerCounts) {
-  const ClusterImage reference = RunFaultedCluster(1);
+  const ClusterImage reference = RunFaultedCluster(1, /*nodes=*/2);
   EXPECT_FALSE(reference.node_traces.empty());
   EXPECT_NE(reference.node_traces.find("span"), std::string::npos)
       << "no spans in the node trace stream";
@@ -291,17 +357,23 @@ TEST(SpanClusterDeterminismTest, ExportsAreByteIdenticalAcrossWorkerCounts) {
   EXPECT_NE(reference.signature.find("state=dead"), std::string::npos);
   EXPECT_NE(reference.snapshots.find("\"critical_path\""), std::string::npos);
   EXPECT_NE(reference.prometheus.find("vafs_trace_events_dropped_total"), std::string::npos);
+  // Every node forwards to the shared sink: it holds the nodes' streams
+  // (fencing and failover included) and nothing else.
+  EXPECT_GT(reference.shared_events, 0);
+  EXPECT_LE(reference.shared_trace.size(), reference.node_traces.size());
 
   for (int workers : {2, 8}) {
-    const ClusterImage image = RunFaultedCluster(workers);
-    EXPECT_EQ(image.signature, reference.signature) << "workers=" << workers;
-    EXPECT_EQ(image.slo_json, reference.slo_json) << "workers=" << workers;
-    EXPECT_EQ(image.critical_path_json, reference.critical_path_json) << "workers=" << workers;
-    EXPECT_EQ(image.node_traces, reference.node_traces) << "workers=" << workers;
-    EXPECT_EQ(image.perfetto, reference.perfetto) << "workers=" << workers;
-    EXPECT_EQ(image.prometheus, reference.prometheus) << "workers=" << workers;
-    EXPECT_EQ(image.snapshots, reference.snapshots) << "workers=" << workers;
-    EXPECT_EQ(image.folded, reference.folded) << "workers=" << workers;
+    ExpectSameClusterImage(RunFaultedCluster(workers, /*nodes=*/2), reference, workers);
+  }
+}
+
+TEST(SpanClusterDeterminismTest, ConcurrentAdmissionsAcrossFourNodesAreByteIdentical) {
+  const ClusterImage reference = RunFaultedCluster(1, /*nodes=*/4);
+  EXPECT_GE(reference.first_window_nodes, 3) << "too few nodes admitted in the first epoch";
+  EXPECT_NE(reference.signature.find("state=dead"), std::string::npos);
+  EXPECT_NE(reference.viewers.find("failovers=1"), std::string::npos) << "nobody failed over";
+  for (int workers : {2, 8}) {
+    ExpectSameClusterImage(RunFaultedCluster(workers, /*nodes=*/4), reference, workers);
   }
 }
 

@@ -287,6 +287,23 @@ TEST(AuditorTest, FlagsIllegalLifecycleTransitions) {
   EXPECT_NE(violations[1].what.find("unknown"), std::string::npos);
 }
 
+TEST(AuditorTest, RecoveryResetsReplayedLedger) {
+  // A restart rebuilds the scheduler empty: the request in flight at the
+  // crash dies with it, so the rebuilt scheduler's first admission sees no
+  // existing requests and its first submit holds the only slot.
+  ContinuityAuditor auditor;
+  auditor.OnEvent(Lifecycle(TraceEventKind::kSubmitAccepted, 1, SlotSnapshot{.pending = 1}));
+  TraceEvent recovery;
+  recovery.kind = TraceEventKind::kRecovery;
+  auditor.OnEvent(recovery);
+  TraceEvent plan;
+  plan.kind = TraceEventKind::kAdmissionPlan;
+  plan.existing = 0;
+  auditor.OnEvent(plan);
+  auditor.OnEvent(Lifecycle(TraceEventKind::kSubmitAccepted, 1, SlotSnapshot{.pending = 1}));
+  EXPECT_TRUE(auditor.Clean()) << auditor.Report();
+}
+
 TEST(AuditorTest, FlagsScatteringContractBreach) {
   TraceEvent write;
   write.kind = TraceEventKind::kStrandWrite;

@@ -8,7 +8,6 @@
 // streams through a couple of planned rounds under a strict continuity
 // auditor and asserts every telemetry artifact is byte-identical across
 //
-//   - worker counts (1 vs 8 wall-clock workers),
 //   - slot-table iteration orders (live-id order vs raw slot scan, the
 //     legacy-map-equivalent vs flat-table orders), and
 //   - planner modes (incremental reuse vs from-scratch replanning).
@@ -31,7 +30,6 @@
 #include "src/obs/slo.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
-#include "src/util/worker_pool.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -54,7 +52,7 @@ struct ScaleImage {
   std::string auditor_report;
 };
 
-ScaleImage RunScale(int workers, bool scan_slot_order, bool incremental) {
+ScaleImage RunScale(bool scan_slot_order, bool incremental) {
   Disk disk(TestDiskParameters());
   StrandStore store(&disk);
 
@@ -89,13 +87,11 @@ ScaleImage RunScale(int workers, bool scan_slot_order, bool incremental) {
   }
 
   DiskArray array(TestDiskParameters(), kMembers);
-  WorkerPool pool(workers);
   Simulator sim;
   SchedulerOptions options;
   options.trace = &tee;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.worker_pool = &pool;
   options.verify_payloads = true;
   options.bypass_admission = true;  // the hot path is under test, not Eq. 17
   options.forced_k = 1;
@@ -158,19 +154,16 @@ void ExpectSameImage(const ScaleImage& image, const ScaleImage& reference,
 }
 
 TEST(ScaleSmokeTest, FiveThousandStreamsAreByteIdenticalAcrossHotPathModes) {
-  const ScaleImage reference =
-      RunScale(/*workers=*/1, /*scan_slot_order=*/false, /*incremental=*/true);
+  const ScaleImage reference = RunScale(/*scan_slot_order=*/false, /*incremental=*/true);
   EXPECT_TRUE(reference.auditor_clean) << reference.auditor_report;
   EXPECT_GE(reference.rounds, 2);
   EXPECT_EQ(reference.blocks_done, kStreams * kBlocksPerStream);
   EXPECT_FALSE(reference.trace.empty());
 
-  ExpectSameImage(RunScale(/*workers=*/8, /*scan_slot_order=*/false, /*incremental=*/true),
-                  reference, "workers=8");
-  ExpectSameImage(RunScale(/*workers=*/1, /*scan_slot_order=*/true, /*incremental=*/true),
-                  reference, "scan_slot_order");
-  ExpectSameImage(RunScale(/*workers=*/1, /*scan_slot_order=*/false, /*incremental=*/false),
-                  reference, "from_scratch_planning");
+  ExpectSameImage(RunScale(/*scan_slot_order=*/true, /*incremental=*/true), reference,
+                  "scan_slot_order");
+  ExpectSameImage(RunScale(/*scan_slot_order=*/false, /*incremental=*/false), reference,
+                  "from_scratch_planning");
 }
 
 }  // namespace

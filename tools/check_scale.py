@@ -9,12 +9,9 @@ bench_scale next to its printed tables). Fails (exit 1) when:
     on any simulated-time result (trace / SLO / audit digest, round
     count, simulated completion, admitted streams). Incremental planning
     is a pure hot-path optimisation -- it must replan byte-identically;
-  - determinism breaks across worker counts: any multi-worker waves run
-    disagrees with the single-worker reference on trace / SLO / payload
-    digests or counters. Wall-clock parallelism must never change
-    simulated-time results;
   - a sweep or waves run recorded no rounds, no trace events or no
-    admitted streams (the workload did not actually run).
+    admitted streams (the workload did not actually run), or no waves
+    run was recorded at all.
 
 Advisory (reported, never fatal -- wall-clock cost depends on the host):
 
@@ -36,10 +33,6 @@ SWEEP_DETERMINISM_KEYS = (
     "trace_digest", "slo_digest", "audit_digest",
     "rounds", "trace_events", "completion_usec", "admitted",
     "sessions_batched", "sessions_merged",
-)
-WAVES_DETERMINISM_KEYS = (
-    "trace_digest", "slo_digest", "payload_digest",
-    "rounds", "trace_events", "completion_usec", "admitted",
 )
 
 
@@ -100,24 +93,13 @@ def check_scale(path: str) -> None:
                      f"{twin.get(key)!r} (incremental) != {ref.get(key)!r} "
                      f"(from scratch) -- incremental planning changed results")
 
-    # Hard gate 2: waves across worker counts.
     if not waves:
         fail(f"{path}: no waves runs recorded")
-    else:
-        reference = waves[0]
-        if reference.get("workers") != 1:
-            fail(f"{path}: first waves run must be the single-worker reference")
-        for run in waves[1:]:
-            for key in WAVES_DETERMINISM_KEYS:
-                if run.get(key) != reference.get(key):
-                    fail(f"{path}: waves workers={run.get('workers')} {key} = "
-                         f"{run.get(key)!r} != single-worker "
-                         f"{reference.get(key)!r} (determinism broken)")
 
     if not FAILURES:
         digests = {r.get("trace_digest") for r in sweeps}
         print(f"ok: {len(sweeps)} sweep run(s) and {len(waves)} waves run(s), "
-              f"digests stable across planner modes and worker counts "
+              f"digests stable across planner modes "
               f"({len(digests)} distinct populations)")
 
     # Advisory: per-(stream x round) wall cost vs the smallest sweep.
@@ -143,11 +125,11 @@ def check_scale(path: str) -> None:
         recycled = run.get("pool_recycled", 0)
         if created + recycled > 0:
             reuse = recycled / (created + recycled)
-            print(f"ok: waves workers={run.get('workers')} recycled "
+            print(f"ok: waves recycled "
                   f"{recycled} of {created + recycled} page acquisitions "
                   f"({100.0 * reuse:.1f}% reuse)")
         else:
-            print(f"advisory: waves workers={run.get('workers')} acquired no "
+            print(f"advisory: waves acquired no "
                   f"pool pages (payload verification off?)")
 
 
