@@ -8,19 +8,19 @@
 //   sweep   One node, planned rounds + block cache + session layer, a
 //           fixed Zipf viewer population per size (a flash-crowd slice
 //           arrives through OpenSession and batches/merges; the rest are
-//           solo physical streams). Reports wall-clock rounds/sec, the
-//           per-stream round cost (the near-linear-scaling criterion:
-//           20k within 5x of 1k), and the incremental planner's reuse
-//           counters. The 5k point runs twice — incremental vs
-//           from-scratch planning — and every simulated-time digest must
-//           match between the two.
+//           solo physical streams). Reports wall-clock rounds/sec and the
+//           wall cost per served stream-round (one kRequestServiced event;
+//           the near-linear-scaling criterion: 50k within 5x of 1k). The
+//           trace, SLO and audit digests are deterministic and regression-
+//           gated against bench/baselines/.
 //
 //   waves   The planned-round array path at 5k streams over 8 members with
 //           payload verification ON: the PagePool counters show the pooled
 //           read path recycling pages instead of allocating per block.
 //
-// tools/check_scale.py gates digest equality (hard) and near-linear
-// scaling (advisory). CI publishes BENCH_scale_metrics.json.
+// tools/check_scale.py gates that every sweep size ran once and executed
+// rounds (hard) and near-linear scaling (advisory). CI publishes
+// BENCH_scale_metrics.json.
 
 #include <benchmark/benchmark.h>
 
@@ -55,10 +55,11 @@ constexpr double kArrivalWindowSec = 0.2;
 // while every round still carries the full population.
 constexpr double kSweepHorizonSec = 8.0;
 constexpr int64_t kSweepSizes[] = {1000, 5000, 20000, 50000};
-constexpr int64_t kDeterminismSize = 5000;
+constexpr int64_t kWavesViewers = 5000;
 
 // FNV-1a fold of every rendered trace event (order-sensitive, unbounded
-// stream, no retention).
+// stream, no retention), plus the served stream-round count: one
+// kRequestServiced per stream per round it was serviced in.
 class TraceDigest : public obs::TraceSink {
  public:
   void OnEvent(const obs::TraceEvent& event) override {
@@ -67,13 +68,18 @@ class TraceDigest : public obs::TraceSink {
       digest_ = (digest_ ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
     }
     ++events_;
+    if (event.kind == obs::TraceEventKind::kRequestServiced) {
+      ++served_;
+    }
   }
   uint64_t digest() const { return digest_; }
   int64_t events() const { return events_; }
+  int64_t served() const { return served_; }
 
  private:
   uint64_t digest_ = 14695981039346656037ULL;
   int64_t events_ = 0;
+  int64_t served_ = 0;
 };
 
 uint64_t FnvOf(const std::string& text) {
@@ -87,21 +93,20 @@ uint64_t FnvOf(const std::string& text) {
 struct ScaleOutcome {
   const char* part = "sweep";
   int64_t viewers = 0;
-  const char* mode = "incremental";
   int64_t admitted = 0;
   int64_t sessions_batched = 0;
   int64_t sessions_merged = 0;
   double wall_sec = 0.0;
   int64_t rounds = 0;
+  int64_t served_stream_rounds = 0;
   double rounds_per_sec = 0.0;
-  double stream_round_cost_wall_sec = 0.0;  // usec of wall time per stream-round
+  double stream_round_cost_wall_sec = 0.0;  // usec of wall time per served stream-round
   uint64_t trace_digest = 0;
   int64_t trace_events = 0;
   uint64_t slo_digest = 0;
   uint64_t audit_digest = 0;
   uint64_t payload_digest = 0;
   SimTime completion = 0;
-  IncrementalRoundPlanner::Stats planner;
   int64_t pool_created = 0;
   int64_t pool_recycled = 0;
   int64_t pool_outstanding = 0;
@@ -126,14 +131,14 @@ sim::WorkloadOptions SweepWorkload() {
 // planned rounds + cache + sessions, admission bypassed (the point is the
 // hot path, not Eq. 17 — the simulated disk is massively oversubscribed
 // and the SLO records that honestly).
-ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
+ScaleOutcome RunSweep(int64_t viewers) {
+  // The facade's own SloTracker sees the same stream as these receipts, so
+  // the SLO digest comes from it rather than from a second tracker.
   TraceDigest trace;
   obs::ContinuityAuditor auditor{obs::AuditorOptions{.round_time_slack = 0.05}};
-  obs::SloTracker slo;
   obs::TeeSink receipts;
   receipts.Add(&trace);
   receipts.Add(&auditor);
-  receipts.Add(&slo);
 
   FileSystemConfig config = TestbedConfig();
   config.disk = FutureDisk();
@@ -142,7 +147,6 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
   config.scheduler.bypass_admission = true;
   config.scheduler.forced_k = 1;
   config.scheduler.batch_activation = true;
-  config.scheduler.incremental_planning = incremental;
   config.scheduler.trace = &receipts;
   config.block_cache.capacity_bytes = 8 << 20;
   config.sessions.enabled = true;
@@ -170,7 +174,6 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
 
   ScaleOutcome outcome;
   outcome.viewers = viewers;
-  outcome.mode = incremental ? "incremental" : "from_scratch";
   const SimTime base = fs.simulator().Now();
   for (const sim::WorkloadArrival& arrival : arrivals) {
     const RopeId rope = ropes[static_cast<size_t>(arrival.title) % ropes.size()];
@@ -200,19 +203,20 @@ ScaleOutcome RunSweep(int64_t viewers, bool incremental) {
   outcome.rounds = fs.scheduler().rounds_executed();
   outcome.rounds_per_sec =
       outcome.wall_sec > 0.0 ? static_cast<double>(outcome.rounds) / outcome.wall_sec : 0.0;
-  const double stream_rounds = static_cast<double>(outcome.rounds) * static_cast<double>(viewers);
+  outcome.served_stream_rounds = trace.served();
   outcome.stream_round_cost_wall_sec =
-      stream_rounds > 0.0 ? outcome.wall_sec * 1e6 / stream_rounds : 0.0;
+      outcome.served_stream_rounds > 0
+          ? outcome.wall_sec * 1e6 / static_cast<double>(outcome.served_stream_rounds)
+          : 0.0;
   if (fs.session_manager() != nullptr) {
     outcome.sessions_batched = fs.session_manager()->census().batched;
     outcome.sessions_merged = fs.session_manager()->census().merged;
   }
   outcome.trace_digest = trace.digest();
   outcome.trace_events = trace.events();
-  outcome.slo_digest = FnvOf(slo.Report().ToJson());
+  outcome.slo_digest = FnvOf(fs.slo_tracker()->Report().ToJson());
   outcome.audit_digest = FnvOf(auditor.Report());
   outcome.completion = fs.simulator().Now();
-  outcome.planner = fs.scheduler().planner_stats();
   if (fs.block_cache() != nullptr) {
     PagePool& pool = fs.block_cache()->page_pool();
     outcome.pool_created = pool.pages_created();
@@ -312,15 +316,16 @@ ScaleOutcome RunWaves(int64_t viewers) {
   outcome.rounds = scheduler.rounds_executed();
   outcome.rounds_per_sec =
       outcome.wall_sec > 0.0 ? static_cast<double>(outcome.rounds) / outcome.wall_sec : 0.0;
-  const double stream_rounds = static_cast<double>(outcome.rounds) * static_cast<double>(viewers);
+  outcome.served_stream_rounds = trace.served();
   outcome.stream_round_cost_wall_sec =
-      stream_rounds > 0.0 ? outcome.wall_sec * 1e6 / stream_rounds : 0.0;
+      outcome.served_stream_rounds > 0
+          ? outcome.wall_sec * 1e6 / static_cast<double>(outcome.served_stream_rounds)
+          : 0.0;
   outcome.trace_digest = trace.digest();
   outcome.trace_events = trace.events();
   outcome.slo_digest = FnvOf(slo.Report().ToJson());
   outcome.payload_digest = scheduler.payload_digest();
   outcome.completion = sim.Now();
-  outcome.planner = scheduler.planner_stats();
   outcome.pool_created = cache.page_pool().pages_created();
   outcome.pool_recycled = cache.page_pool().pages_recycled();
   outcome.pool_outstanding = cache.page_pool().pages_outstanding();
@@ -345,26 +350,20 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
     const ScaleOutcome& run = outcomes[i];
     std::fprintf(
         file,
-        "      {\"part\": \"%s\", \"viewers\": %lld, \"mode\": \"%s\",\n"
+        "      {\"part\": \"%s\", \"viewers\": %lld,\n"
         "       \"admitted\": %lld, \"sessions_batched\": %lld, \"sessions_merged\": %lld,\n"
         "       \"wall_sec\": %.6f, \"rounds\": %lld, \"rounds_per_sec\": %.3f,\n"
-        "       \"stream_round_cost_wall_sec\": %.6f,\n"
+        "       \"served_stream_rounds\": %lld, \"stream_round_cost_wall_sec\": %.6f,\n"
         "       \"trace_digest\": \"%016" PRIx64 "\", \"trace_events\": %lld,\n"
         "       \"slo_digest\": \"%016" PRIx64 "\", \"audit_digest\": \"%016" PRIx64 "\",\n"
         "       \"payload_digest\": \"%016" PRIx64 "\", \"completion_usec\": %lld,\n"
-        "       \"planner_inputs_seen\": %lld, \"planner_inputs_reused\": %lld,\n"
-        "       \"planner_groups_resorted\": %lld, \"planner_full_sort_fallbacks\": %lld,\n"
         "       \"pool_created\": %lld, \"pool_recycled\": %lld, \"pool_outstanding\": %lld}%s\n",
-        run.part, static_cast<long long>(run.viewers), run.mode,
-        static_cast<long long>(run.admitted), static_cast<long long>(run.sessions_batched),
-        static_cast<long long>(run.sessions_merged), run.wall_sec,
-        static_cast<long long>(run.rounds), run.rounds_per_sec, run.stream_round_cost_wall_sec,
+        run.part, static_cast<long long>(run.viewers), static_cast<long long>(run.admitted),
+        static_cast<long long>(run.sessions_batched), static_cast<long long>(run.sessions_merged),
+        run.wall_sec, static_cast<long long>(run.rounds), run.rounds_per_sec,
+        static_cast<long long>(run.served_stream_rounds), run.stream_round_cost_wall_sec,
         run.trace_digest, static_cast<long long>(run.trace_events), run.slo_digest,
         run.audit_digest, run.payload_digest, static_cast<long long>(run.completion),
-        static_cast<long long>(run.planner.inputs_seen),
-        static_cast<long long>(run.planner.inputs_reused),
-        static_cast<long long>(run.planner.groups_resorted),
-        static_cast<long long>(run.planner.full_sort_fallbacks),
         static_cast<long long>(run.pool_created), static_cast<long long>(run.pool_recycled),
         static_cast<long long>(run.pool_outstanding), i + 1 < outcomes.size() ? "," : "");
   }
@@ -382,51 +381,30 @@ void PrintScaleTables() {
   std::printf("host threads: %u, titles: %d, title length: %.1fs\n",
               std::thread::hardware_concurrency(), kTitles, kTitleSec);
 
-  // VAFS_SCALE_MAX trims the sweep for constrained runners (digest
-  // comparisons all happen at the 5k point, which is never trimmed).
+  // VAFS_SCALE_MAX trims the sweep for constrained runners. It never
+  // trims below the 5k point, so the cost-ratio advisory keeps two sizes.
   int64_t max_viewers = 50000;
   if (const char* env_max = std::getenv("VAFS_SCALE_MAX"); env_max != nullptr) {
-    max_viewers = std::max<int64_t>(std::atoll(env_max), kDeterminismSize);
+    max_viewers = std::max<int64_t>(std::atoll(env_max), kSweepSizes[1]);
   }
   std::vector<ScaleOutcome> outcomes;
   for (const int64_t viewers : kSweepSizes) {
     if (viewers > max_viewers) {
       continue;
     }
-    std::fprintf(stderr, "sweep %lld incremental...\n", static_cast<long long>(viewers));
-    outcomes.push_back(RunSweep(viewers, /*incremental=*/true));
-    if (viewers == kDeterminismSize) {
-      std::fprintf(stderr, "sweep %lld from-scratch...\n", static_cast<long long>(viewers));
-      outcomes.push_back(RunSweep(viewers, /*incremental=*/false));
-    }
+    std::fprintf(stderr, "sweep %lld...\n", static_cast<long long>(viewers));
+    outcomes.push_back(RunSweep(viewers));
   }
-  std::fprintf(stderr, "waves %lld...\n", static_cast<long long>(kDeterminismSize));
-  outcomes.push_back(RunWaves(kDeterminismSize));
+  std::fprintf(stderr, "waves %lld...\n", static_cast<long long>(kWavesViewers));
+  outcomes.push_back(RunWaves(kWavesViewers));
 
-  std::printf("%6s | %7s | %12s | %9s | %7s | %11s | %11s | %16s\n", "part", "viewers", "mode",
-              "wall (s)", "rounds", "rounds/sec", "us/strm-rnd", "trace digest");
+  std::printf("%6s | %7s | %9s | %7s | %10s | %11s | %11s | %16s\n", "part", "viewers",
+              "wall (s)", "rounds", "served", "rounds/sec", "us/strm-rnd", "trace digest");
   for (const ScaleOutcome& run : outcomes) {
-    std::printf("%6s | %7" PRId64 " | %12s | %9.3f | %7" PRId64
+    std::printf("%6s | %7" PRId64 " | %9.3f | %7" PRId64 " | %10" PRId64
                 " | %11.1f | %11.3f | %016" PRIx64 "\n",
-                run.part, run.viewers, run.mode, run.wall_sec, run.rounds, run.rounds_per_sec,
-                run.stream_round_cost_wall_sec, run.trace_digest);
-  }
-
-  // Receipts the checker gates on (printed for the human too).
-  const ScaleOutcome* inc = nullptr;
-  const ScaleOutcome* scratch = nullptr;
-  for (const ScaleOutcome& run : outcomes) {
-    if (run.viewers == kDeterminismSize && std::string(run.part) == "sweep") {
-      (std::string(run.mode) == "incremental" ? inc : scratch) = &run;
-    }
-  }
-  if (inc != nullptr && scratch != nullptr) {
-    const bool same = inc->trace_digest == scratch->trace_digest &&
-                      inc->slo_digest == scratch->slo_digest &&
-                      inc->audit_digest == scratch->audit_digest &&
-                      inc->completion == scratch->completion && inc->rounds == scratch->rounds;
-    std::printf("incremental == from-scratch planning: %s\n",
-                same ? "yes" : "NO -- DETERMINISM BROKEN");
+                run.part, run.viewers, run.wall_sec, run.rounds, run.served_stream_rounds,
+                run.rounds_per_sec, run.stream_round_cost_wall_sec, run.trace_digest);
   }
   const ScaleOutcome& waves = outcomes.back();
   std::printf("pooled reads: %" PRId64 " pages created, %" PRId64 " recycled (%.1f%% reuse)\n",
@@ -441,7 +419,7 @@ void PrintScaleTables() {
 void BM_ScaleSweep(benchmark::State& state) {
   const int64_t viewers = state.range(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(RunSweep(viewers, /*incremental=*/true).rounds);
+    benchmark::DoNotOptimize(RunSweep(viewers).rounds);
   }
 }
 BENCHMARK(BM_ScaleSweep)->Arg(1000)->Unit(benchmark::kMillisecond);

@@ -73,8 +73,7 @@ ClusterCoordinator::ClusterCoordinator(ClusterOptions options)
     tee_.Add(options_.trace);
   }
   if (options_.node_config.scheduler.worker_pool == nullptr) {
-    // One pool for the whole cluster: without it every node's facade
-    // would build its own.
+    // One pool for the whole cluster; the node epoch tasks run on it.
     owned_pool_ = std::make_unique<WorkerPool>(WorkerPool::WorkersFromEnv());
     options_.node_config.scheduler.worker_pool = owned_pool_.get();
   }

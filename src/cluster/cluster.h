@@ -52,10 +52,10 @@
 // admissions, and makes every cross-node decision on its own thread in
 // fixed node order. The shared sink therefore sees the sequential event
 // stream byte for byte, and a seeded cluster run (arrivals + failure
-// schedule) replays identically for any worker count. Node tasks never
-// call into the pool themselves, which is why CheckpointAll and the
-// restart's Recover (both of which use Crc64Parallel on the pool) run on
-// the coordinator thread only.
+// schedule) replays identically for any worker count. Node epochs are the
+// pool's only caller: nothing a node runs inside its task (rounds,
+// checkpoints, recovery) calls into the pool, so a task never waits on the
+// barrier it runs under.
 
 #ifndef VAFS_SRC_CLUSTER_CLUSTER_H_
 #define VAFS_SRC_CLUSTER_CLUSTER_H_

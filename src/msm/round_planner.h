@@ -34,17 +34,15 @@
 //
 // Scale note (DESIGN.md section 15): riders live in one flat arena
 // (RoundPlan::riders) addressed by [rider_begin, rider_begin+rider_count)
-// per transfer, so a 20k-stream round allocates nothing per transfer once
-// the arena has warmed up. IncrementalRoundPlanner caches each request's
-// coalesced runs between rounds and re-sorts only streams whose extents
-// changed; its output order is byte-identical to BuildRoundPlan.
+// per transfer. The scheduler plans every round from scratch into one
+// RoundPlan it owns (BuildRoundPlanInto), so a 20k-stream round allocates
+// nothing per transfer once the arena has warmed up.
 
 #ifndef VAFS_SRC_MSM_ROUND_PLANNER_H_
 #define VAFS_SRC_MSM_ROUND_PLANNER_H_
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/disk/disk_model.h"
@@ -103,7 +101,7 @@ struct RoundPlan {
   // queue position (the scheduler groups one wave per position).
   std::vector<PlannedTransfer> transfers;
   // Rider arena: every transfer's blocks, contiguous per transfer. Reused
-  // across rounds by the planners (clear keeps capacity).
+  // across rounds by BuildRoundPlanInto (clear keeps capacity).
   std::vector<PlannedBlock> riders;
   int64_t data_blocks = 0;      // playback blocks wanted this round
   int64_t cache_hits = 0;       // served from memory, no transfer
@@ -126,117 +124,6 @@ RoundPlan BuildRoundPlan(const DiskModel& model, const std::vector<int64_t>& hea
 // reused across rounds.
 void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
                         int array_members, const std::vector<PlanInput>& inputs, RoundPlan* out);
-
-// Incremental planner for the scale hot path. Caches each request's
-// coalesced run list between rounds (a request whose candidate geometry is
-// unchanged skips coalescing entirely) and keeps the previous round's
-// C-SCAN order so only new or changed transfers are sorted; survivors
-// merge in O(transfers). The dispatch order is byte-identical to
-// BuildRoundPlan on the same inputs: the sort key (member, start_sector,
-// encounter order) is head-position-independent — cylinders are monotonic
-// in sector — and the C-SCAN wrap becomes a per-member rotation at the
-// first cylinder >= the arm, which is exactly the ScanKey order.
-class IncrementalRoundPlanner {
- public:
-  struct Stats {
-    int64_t rounds = 0;
-    int64_t inputs_seen = 0;
-    int64_t inputs_reused = 0;   // coalescing skipped (geometry unchanged)
-    int64_t groups_seen = 0;
-    int64_t groups_resorted = 0; // transfers that needed a fresh sort
-    int64_t full_sort_fallbacks = 0;
-  };
-
-  // Plans the round. The returned plan is owned by the planner and valid
-  // until the next Plan()/Clear() call.
-  const RoundPlan& Plan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                        int array_members, const std::vector<PlanInput>& inputs);
-
-  // Drops one request's cached runs (call when the request retires).
-  void Forget(uint64_t request);
-  void Clear();
-
-  const Stats& stats() const { return stats_; }
-
- private:
-  struct CachedRun {
-    int64_t start_sector = 0;
-    int64_t sectors = 0;
-    int member = 0;
-    uint32_t rider_begin = 0;  // into CachedInput::riders
-    uint32_t rider_count = 0;
-  };
-  // Per-request cache: the exact candidate list it was built from (compared
-  // field-by-field, no hashing), the coalesced runs, and the riders with
-  // PlannedBlock::slot holding the candidate index *within* the input —
-  // rebased to the round-global slot at emission time.
-  struct CachedInput {
-    std::vector<PlanCandidate> signature;
-    int members = 0;
-    std::vector<CachedRun> runs;
-    std::vector<PlannedBlock> riders;
-    int64_t data_blocks = 0;
-    int64_t cache_hits = 0;
-    int64_t coalesced_blocks = 0;
-  };
-  struct GroupRef {
-    const CachedInput* input = nullptr;
-    int32_t run = -1;
-    int64_t slot_base = 0;
-    int32_t next = -1;  // chain of refs sharing the group
-  };
-  struct Group {
-    int64_t start_sector = 0;
-    int64_t sectors = 0;
-    int member = 0;
-    int64_t cylinder = 0;
-    int32_t seq = 0;  // encounter order this round (sort tie-break)
-    bool is_append = false;
-    uint64_t append_request = 0;
-    int64_t append_blocks = 0;
-    int32_t first_ref = -1;
-    int32_t last_ref = -1;
-    int64_t rider_total = 0;
-  };
-  struct ExtentKey {
-    int64_t start = 0;
-    int64_t sectors = 0;
-    bool operator==(const ExtentKey& other) const {
-      return start == other.start && sectors == other.sectors;
-    }
-  };
-  struct ExtentKeyHash {
-    size_t operator()(const ExtentKey& key) const {
-      uint64_t h = 1469598103934665603ULL;
-      h = (h ^ static_cast<uint64_t>(key.start)) * 1099511628211ULL;
-      h = (h ^ static_cast<uint64_t>(key.sectors)) * 1099511628211ULL;
-      return static_cast<size_t>(h);
-    }
-  };
-  struct OrderedIdentity {
-    int member = 0;
-    int64_t start_sector = 0;
-    int64_t sectors = 0;
-  };
-
-  void RebuildInput(const PlanInput& input, int members, CachedInput* cached);
-
-  std::unordered_map<uint64_t, CachedInput> cache_;
-  RoundPlan plan_;
-  Stats stats_;
-
-  // Round scratch (cleared, capacity kept).
-  std::vector<Group> groups_;
-  std::vector<GroupRef> refs_;
-  std::unordered_map<ExtentKey, int32_t, ExtentKeyHash> group_map_;
-  std::vector<int32_t> clean_order_;
-  std::vector<int32_t> dirty_order_;
-  std::vector<int32_t> merged_order_;
-  std::vector<char> group_clean_;
-  // Previous round's merged (pre-rotation) read order, for sort reuse.
-  std::vector<OrderedIdentity> last_order_;
-  std::vector<OrderedIdentity> next_order_;
-};
 
 }  // namespace vafs
 

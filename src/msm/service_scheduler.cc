@@ -81,7 +81,6 @@ void ServiceScheduler::RetireCompletedRequests() {
     // The consumer/producer were already folded and reset when the request
     // completed, so the stats snapshot is final.
     finished_stats_.emplace(id, slot.request.stats);
-    planner_.Forget(id);
     slot.id = 0;
     slot.request = ActiveRequest{};
     id_to_slot_[static_cast<size_t>(id)] = -1;
@@ -900,7 +899,6 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   // coverage collapsed before any disk time is spent on them. Each pass
   // pauses at least one stream, so the loop is bounded.
   const std::vector<PlanInput>& inputs = BuildPlanInputs(round_start, /*count_cache_stats=*/true);
-  const RoundPlan* planned = nullptr;
   for (;;) {
     head_scratch_.clear();
     if (array != nullptr) {
@@ -910,13 +908,8 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     } else {
       head_scratch_.push_back(disk.head_cylinder());
     }
-    if (options_.incremental_planning) {
-      planned = &planner_.Plan(model, head_scratch_, members, inputs);
-    } else {
-      BuildRoundPlanInto(model, head_scratch_, members, inputs, &scratch_plan_);
-      planned = &scratch_plan_;
-    }
-    const std::vector<RequestId> collapsed = CollapsedCacheAdmissions(inputs, *planned);
+    BuildRoundPlanInto(model, head_scratch_, members, inputs, &round_plan_);
+    const std::vector<RequestId> collapsed = CollapsedCacheAdmissions(inputs, round_plan_);
     if (collapsed.empty()) {
       break;
     }
@@ -935,7 +928,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     BuildPlanInputs(round_start, /*count_cache_stats=*/false);  // refills `inputs`
     ComputeRoundBudget();
   }
-  const RoundPlan& plan = *planned;
+  const RoundPlan& plan = round_plan_;
 
   if (options_.trace != nullptr) {
     obs::TraceEvent event = TraceContext();

@@ -144,11 +144,10 @@ struct SchedulerOptions {
   // on the store's primary spindle. Member geometry must match the store
   // disk. Must outlive the scheduler.
   DiskArray* disk_array = nullptr;
-  // Wall-clock worker pool (DESIGN.md section 12), shared by the embedding
-  // stack: MultimediaFileSystem checksums its catalog on it at checkpoint
-  // and recovery, and ClusterCoordinator runs one task per node per epoch
-  // on it. The scheduler itself never submits work, so rounds always run
-  // on the calling thread. Must outlive the scheduler.
+  // Wall-clock worker pool (DESIGN.md section 12). Only ClusterCoordinator
+  // uses it: it runs one task per node per epoch on the pool it finds here
+  // in its node template. The scheduler and the facade never touch it, so
+  // rounds always run on the calling thread. Must outlive the scheduler.
   WorkerPool* worker_pool = nullptr;
   // End-to-end payload verification: planned waves read block data and
   // each member request folds a CRC-64 of the bytes it moved; the scheduler
@@ -167,22 +166,12 @@ struct SchedulerOptions {
   // per-round service records are reported here (see src/obs/trace.h).
   // The sink must outlive the scheduler.
   obs::TraceSink* trace = nullptr;
-  // Incremental round planning (kPlanned only): reuse each stream's cached
-  // coalesced runs and the previous round's C-SCAN order, re-sorting only
-  // streams whose extents changed (DESIGN.md section 15). Off = rebuild
-  // every plan from scratch. The dispatch program is byte-identical either
-  // way; bench_scale and the scale test verify the digests agree.
-  bool incremental_planning = true;
   // Activate every pending admission whose k ramp is already satisfied in
   // one round instead of one per round. k itself still steps at most once
   // per round (Eq. 18); only same-k activations batch, so a 20k-stream
   // ramp-in is O(N) rounds -> O(1). Off by default: the paper's rotation
   // admits one newcomer per round and the seed benches count on it.
   bool batch_activation = false;
-  // Test-only: iterate admission-ledger sweeps in raw slot-table order
-  // instead of ascending request id. Observable results must not depend on
-  // it (the scale test asserts digest equality across both settings).
-  bool scan_slot_order = false;
   // Causal span tracing (src/obs/span.h): every round emits a span tree —
   // round root, per-wave, per-transfer, retry/append/cache sub-spans —
   // with ids derived from (node, round, stage, ordinal), plus a per-stage
@@ -237,10 +226,6 @@ class ServiceScheduler {
   // transfer. The session layer tags patch tickets through this.
   void set_merge_patch(RequestId id, bool patch);
 
-  // Incremental-planner reuse counters (bench_scale reports these as the
-  // evidence that unchanged streams skip the per-round re-sort).
-  const IncrementalRoundPlanner::Stats& planner_stats() const { return planner_.stats(); }
-
  private:
   struct ActiveRequest {
     RequestStats stats;
@@ -291,9 +276,9 @@ class ServiceScheduler {
   ActiveRequest& RequestAt(RequestId id);
   const ActiveRequest& RequestAt(RequestId id) const;
   ActiveRequest& InsertRequest(RequestId id, ActiveRequest request);
-  // Moves every completed request's stats to finished_stats_, frees its
-  // slot and drops its cached planner runs. Round-edge only: within a
-  // round completed entries must stay findable.
+  // Moves every completed request's stats to finished_stats_ and frees its
+  // slot. Round-edge only: within a round completed entries must stay
+  // findable.
   void RetireCompletedRequests();
   // The slot-ledger column the request occupies (one of SlotSnapshot's
   // counters, or none for completed); delta is +-1.
@@ -306,21 +291,11 @@ class ServiceScheduler {
     fn();
     CountSlots(request, +1);
   }
-  // Visits every live request. Ascending request id by default; raw slot
-  // order under SchedulerOptions::scan_slot_order (test-only — callers must
-  // be order-insensitive).
+  // Visits every live request in ascending request id.
   template <typename Fn>
   void ForEachRequest(Fn&& fn) const {
-    if (options_.scan_slot_order) {
-      for (const Slot& slot : slots_) {
-        if (slot.id != 0) {
-          fn(slot.id, slot.request);
-        }
-      }
-    } else {
-      for (RequestId id : live_ids_) {
-        fn(id, RequestAt(id));
-      }
+    for (RequestId id : live_ids_) {
+      fn(id, RequestAt(id));
     }
   }
 
@@ -468,11 +443,10 @@ class ServiceScheduler {
   std::vector<RequestId> service_order_;  // round-robin order over active requests
   std::deque<PendingAdmission> pending_;
 
-  // Incremental planner and the per-round scratch arenas. All of these are
+  // The round plan and the per-round scratch arenas. All of these are
   // cleared (capacity kept) every round, so a steady 20k-stream rotation
   // allocates nothing on the hot path after warm-up.
-  IncrementalRoundPlanner planner_;
-  RoundPlan scratch_plan_;  // from-scratch planning (incremental_planning off)
+  RoundPlan round_plan_;
   std::vector<PlanInput> plan_inputs_;
   std::vector<int64_t> head_scratch_;
   // Per-candidate outcomes, indexed by PlannedBlock::slot (the planner's

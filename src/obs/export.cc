@@ -4,10 +4,8 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
-#include <span>
 
 #include "src/obs/span.h"
-#include "src/util/worker_pool.h"
 
 namespace vafs {
 namespace obs {
@@ -51,11 +49,7 @@ void AppendDouble(std::string* out, double value) {
 
 class EventWriter {
  public:
-  // `continuation` starts the writer as if events were already written, so
-  // a chunk rendered by a worker leads with the separating ",\n" and
-  // chunk concatenation is byte-identical to one serial pass.
-  explicit EventWriter(std::string* out, bool continuation = false)
-      : out_(out), first_(!continuation) {}
+  explicit EventWriter(std::string* out) : out_(out) {}
 
   // Opens one trace event object with the common fields.
   EventWriter& Begin(const char* ph, int64_t pid, int64_t tid, const std::string& name,
@@ -133,9 +127,7 @@ void WriteBodyEvent(EventWriter& writer, const TraceEvent& event);
 
 }  // namespace
 
-std::string PerfettoExporter::Export() const { return Export(nullptr); }
-
-std::string PerfettoExporter::Export(WorkerPool* pool) const {
+std::string PerfettoExporter::Export() const {
   std::string json = "{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n";
   EventWriter writer(&json);
 
@@ -172,36 +164,8 @@ std::string PerfettoExporter::Export(WorkerPool* pool) const {
     }
   }
 
-  // Body: serial when the pool is absent/solo or the log is small;
-  // otherwise contiguous chunks rendered in parallel and concatenated in
-  // event order. The metadata preamble above guarantees every chunk is a
-  // continuation, so the bytes match the serial pass exactly.
-  constexpr size_t kMinParallelEvents = 4096;
-  if (pool == nullptr || pool->workers() <= 1 || events_->size() < kMinParallelEvents) {
-    for (const TraceEvent& event : *events_) {
-      WriteBodyEvent(writer, event);
-    }
-  } else {
-    const size_t chunks = std::min<size_t>(static_cast<size_t>(pool->workers()),
-                                           events_->size() / (kMinParallelEvents / 2));
-    const size_t per_chunk = (events_->size() + chunks - 1) / chunks;
-    std::vector<std::string> parts(chunks);
-    std::vector<WorkerPool::Task> tasks;
-    tasks.reserve(chunks);
-    for (size_t c = 0; c < chunks; ++c) {
-      tasks.push_back([this, &parts, c, per_chunk] {
-        const size_t begin = c * per_chunk;
-        const size_t end = std::min(begin + per_chunk, events_->size());
-        EventWriter chunk_writer(&parts[c], /*continuation=*/true);
-        for (size_t i = begin; i < end; ++i) {
-          WriteBodyEvent(chunk_writer, (*events_)[i]);
-        }
-      });
-    }
-    pool->RunAll(std::move(tasks));
-    for (const std::string& part : parts) {
-      json += part;
-    }
+  for (const TraceEvent& event : *events_) {
+    WriteBodyEvent(writer, event);
   }
   json += "\n]}";
   return json;

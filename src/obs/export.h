@@ -34,9 +34,6 @@
 #include "src/util/result.h"
 
 namespace vafs {
-
-class WorkerPool;
-
 namespace obs {
 
 class Exporter {
@@ -59,13 +56,6 @@ class PerfettoExporter : public Exporter {
   const char* Format() const override { return "perfetto"; }
   const char* FileExtension() const override { return ".perfetto.json"; }
   std::string Export() const override;
-
-  // Pool-backed serialization (DESIGN.md section 12): the event body is
-  // split into contiguous chunks, each rendered by a worker into its own
-  // string, and the chunks are concatenated in event order — the output is
-  // byte-identical to the serial Export() for any worker count. Null pool
-  // (or small logs) falls back to serial.
-  std::string Export(WorkerPool* pool) const;
 
  private:
   const std::vector<TraceEvent>* events_;

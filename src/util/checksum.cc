@@ -1,10 +1,6 @@
 #include "src/util/checksum.h"
 
-#include <algorithm>
 #include <array>
-#include <vector>
-
-#include "src/util/worker_pool.h"
 
 namespace vafs {
 
@@ -42,95 +38,6 @@ uint64_t Crc64Update(uint64_t state, std::span<const uint8_t> bytes) {
 
 uint64_t Crc64(std::span<const uint8_t> bytes) {
   return Crc64Finish(Crc64Update(kCrc64Init, bytes));
-}
-
-namespace {
-
-// y = M * x over GF(2): column i of M is xored in when bit i of x is set.
-uint64_t Gf2MatrixTimes(const uint64_t* matrix, uint64_t vector) {
-  uint64_t sum = 0;
-  for (int i = 0; vector != 0; vector >>= 1, ++i) {
-    if (vector & 1) {
-      sum ^= matrix[i];
-    }
-  }
-  return sum;
-}
-
-void Gf2MatrixSquare(uint64_t* square, const uint64_t* matrix) {
-  for (int n = 0; n < 64; ++n) {
-    square[n] = Gf2MatrixTimes(matrix, matrix[n]);
-  }
-}
-
-}  // namespace
-
-uint64_t Crc64Combine(uint64_t crc1, uint64_t crc2, uint64_t len2) {
-  // For a reflected CRC with init == xorout, feeding len2 zero bytes into
-  // the register is a linear operator Z^len2, and
-  // crc(A||B) = Z^len2(crc(A)) ^ crc(B) — the conditioning terms cancel.
-  // Z is built by repeated squaring of the one-zero-bit operator.
-  if (len2 == 0) {
-    return crc1;
-  }
-  uint64_t even[64];  // operator for 2^(2k+1) zero bits
-  uint64_t odd[64];   // operator for 2^(2k) zero bits
-  // One zero bit: s -> (s >> 1) ^ (poly if s & 1).
-  odd[0] = kPoly;
-  uint64_t row = 1;
-  for (int n = 1; n < 64; ++n) {
-    odd[n] = row;
-    row <<= 1;
-  }
-  Gf2MatrixSquare(even, odd);  // 2 zero bits
-  Gf2MatrixSquare(odd, even);  // 4 zero bits
-  // Walk len2 (in bytes): each squaring doubles the zero-run the operator
-  // applies, starting from 8 bits = 1 byte.
-  do {
-    Gf2MatrixSquare(even, odd);
-    if (len2 & 1) {
-      crc1 = Gf2MatrixTimes(even, crc1);
-    }
-    len2 >>= 1;
-    if (len2 == 0) {
-      break;
-    }
-    Gf2MatrixSquare(odd, even);
-    if (len2 & 1) {
-      crc1 = Gf2MatrixTimes(odd, crc1);
-    }
-    len2 >>= 1;
-  } while (len2 != 0);
-  return crc1 ^ crc2;
-}
-
-uint64_t Crc64Parallel(std::span<const uint8_t> bytes, WorkerPool* pool) {
-  // Below this size the combine's matrix work costs more than it saves.
-  constexpr size_t kMinParallelBytes = 1 << 16;
-  if (pool == nullptr || pool->workers() <= 1 || bytes.size() < kMinParallelBytes) {
-    return Crc64(bytes);
-  }
-  const size_t chunks = std::min<size_t>(static_cast<size_t>(pool->workers()),
-                                         bytes.size() / (kMinParallelBytes / 2));
-  const size_t chunk_bytes = (bytes.size() + chunks - 1) / chunks;
-  std::vector<std::span<const uint8_t>> spans;
-  std::vector<uint64_t> partial(chunks, 0);
-  for (size_t c = 0; c < chunks; ++c) {
-    const size_t begin = c * chunk_bytes;
-    const size_t length = std::min(chunk_bytes, bytes.size() - begin);
-    spans.push_back(bytes.subspan(begin, length));
-  }
-  std::vector<WorkerPool::Task> tasks;
-  tasks.reserve(chunks);
-  for (size_t c = 0; c < chunks; ++c) {
-    tasks.push_back([&spans, &partial, c] { partial[c] = Crc64(spans[c]); });
-  }
-  pool->RunAll(std::move(tasks));
-  uint64_t crc = partial[0];
-  for (size_t c = 1; c < chunks; ++c) {
-    crc = Crc64Combine(crc, partial[c], spans[c].size());
-  }
-  return crc;
 }
 
 }  // namespace vafs

@@ -16,26 +16,9 @@
 
 namespace vafs {
 
-class WorkerPool;
-
 // CRC-64/XZ (ECMA-182 polynomial, reflected, init/xorout all-ones) of the
 // given bytes.
 uint64_t Crc64(std::span<const uint8_t> bytes);
-
-// Checksum of the concatenation A||B from the checksums of its halves:
-// Crc64(AB) = Crc64Combine(Crc64(A), Crc64(B), |B|). The zero-extension
-// operator is applied by GF(2) matrix squaring, so combining costs
-// O(log len2) matrix products independent of the data size. This is what
-// makes the checksum parallelizable: chunk CRCs computed independently
-// fold into the exact serial value.
-uint64_t Crc64Combine(uint64_t crc1, uint64_t crc2, uint64_t len2);
-
-// Crc64 over `bytes`, with chunks checksummed on `pool` workers and folded
-// with Crc64Combine. Bit-identical to the serial Crc64 for every input and
-// worker count; small inputs (or a null/single-worker pool) take the
-// serial path untouched. Used to keep large catalog read-back verification
-// off the round path (src/vafs/persistence.cc).
-uint64_t Crc64Parallel(std::span<const uint8_t> bytes, WorkerPool* pool);
 
 // Incremental form: feed `bytes` into a running checksum. Start with
 // kCrc64Init and finish with Crc64Finish.

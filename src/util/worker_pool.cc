@@ -65,26 +65,6 @@ void WorkerPool::RunAll(std::vector<Task> tasks) {
     }
   }
   work_ready_.notify_all();
-  Drain();
-}
-
-void WorkerPool::Submit(Task task) {
-  if (workers_ == 1) {
-    task();
-    return;
-  }
-  {
-    std::unique_lock<std::mutex> lock(mutex_);
-    ++in_flight_;
-    queue_.push_back(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
-void WorkerPool::Drain() {
-  if (workers_ == 1) {
-    return;
-  }
   std::unique_lock<std::mutex> lock(mutex_);
   work_done_.wait(lock, [this] { return in_flight_ == 0; });
 }

@@ -2,16 +2,12 @@
 //
 // The simulator's timing semantics are single-threaded and deterministic;
 // the pool exists only to spend real CPU faster on work that is already
-// independent in simulated time — cluster nodes between two epoch
-// barriers, chunked CRC-64 sweeps, exporter serialization. Two execution
-// shapes are offered:
-//
-//  - RunAll: a parallel-for with a join barrier. The call returns only
-//    when every task has finished, so the caller can merge per-task
-//    results in a fixed order afterwards; determinism is the merger's
-//    job, not the scheduler's.
-//  - Submit/Drain: fire-and-forget background tasks (off-round-path
-//    serialization), joined explicitly before their outputs are read.
+// independent in simulated time. Its one caller is ClusterCoordinator,
+// which runs each storage node's epoch between two boundaries as one task
+// (DESIGN.md section 12). The one execution shape is RunAll: a
+// parallel-for with a join barrier. The call returns only when every task
+// has finished, so the caller can merge per-task results in a fixed order
+// afterwards; determinism is the merger's job, not the pool's.
 //
 // A pool of one worker never spawns a thread: tasks run inline on the
 // caller in index order, giving the exact sequential reference semantics
@@ -47,16 +43,9 @@ class WorkerPool {
   int workers() const { return workers_; }
 
   // Runs every task and returns when all of them have completed (the
-  // wave barrier). Tasks must be independent: they may not submit to or
-  // drain this pool, and any shared state they touch must be their own.
+  // barrier). Tasks must be independent: they may not call into this
+  // pool, and any shared state they touch must be their own.
   void RunAll(std::vector<Task> tasks);
-
-  // Enqueues one background task (no join). Pair with Drain before
-  // reading anything the task writes.
-  void Submit(Task task);
-
-  // Blocks until every task submitted or started so far has finished.
-  void Drain();
 
   // VAFS_WORKERS environment value, clamped to [1, 64]; 1 when unset or
   // unparsable. The deterministic default: parallelism is opt-in.

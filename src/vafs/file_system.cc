@@ -34,10 +34,6 @@ MultimediaFileSystem::Telemetry::Telemetry(const TelemetryOptions& options)
 }
 
 MultimediaFileSystem::MultimediaFileSystem(const FileSystemConfig& config) : config_(config) {
-  if (config_.scheduler.worker_pool == nullptr) {
-    worker_pool_ = std::make_unique<WorkerPool>(WorkerPool::WorkersFromEnv());
-    config_.scheduler.worker_pool = worker_pool_.get();
-  }
   if (config_.telemetry.enabled) {
     telemetry_ = std::make_unique<Telemetry>(config_.telemetry);
     if (config_.scheduler.trace != nullptr) {
@@ -292,8 +288,7 @@ Result<SessionTicket> MultimediaFileSystem::OpenSession(const std::string& user,
 Status MultimediaFileSystem::Checkpoint() {
   Result<ImageReceipt> receipt =
       SaveImage(store_.get(), ropes_.get(), text_files_.get(),
-                image_receipt_.valid ? &image_receipt_ : nullptr,
-                config_.scheduler.worker_pool);
+                image_receipt_.valid ? &image_receipt_ : nullptr);
   if (!receipt.ok()) {
     // A failed save committed nothing: the previous receipt (and journal
     // generation) remain the live ones.
@@ -319,7 +314,7 @@ Status MultimediaFileSystem::Recover() {
 
   int64_t journal_resume_offset = 0;
   int64_t journal_resume_sequence = 0;
-  Result<LoadedImage> image = LoadImage(disk_.get(), config_.scheduler.worker_pool);
+  Result<LoadedImage> image = LoadImage(disk_.get());
   if (image.ok()) {
     store_ = std::move(image->store);
     ropes_ = std::move(image->ropes);

@@ -31,7 +31,6 @@
 #include "src/obs/trace.h"
 #include "src/rope/rope_server.h"
 #include "src/sim/simulator.h"
-#include "src/util/worker_pool.h"
 #include "src/vafs/persistence.h"
 #include "src/vafs/text_files.h"
 
@@ -253,10 +252,6 @@ class MultimediaFileSystem {
   };
 
   FileSystemConfig config_;
-  // Owned wall-clock pool, sized from VAFS_WORKERS, built only when the
-  // embedder did not supply SchedulerOptions::worker_pool. Declared before
-  // the layers that borrow it.
-  std::unique_ptr<WorkerPool> worker_pool_;
   std::unique_ptr<Telemetry> telemetry_;
   Simulator simulator_;
   std::unique_ptr<Disk> disk_;

@@ -447,7 +447,7 @@ struct RootChoice {
   std::vector<FsckFinding> findings;
 };
 
-RootChoice ChooseRoot(Disk* disk, WorkerPool* pool = nullptr) {
+RootChoice ChooseRoot(Disk* disk) {
   const int64_t roots_start = disk->total_sectors() - 2;
   RootChoice choice;
 
@@ -493,7 +493,7 @@ RootChoice ChooseRoot(Disk* disk, WorkerPool* pool = nullptr) {
     const RootRecord& root = slot->record;
     Result<std::vector<uint8_t>> blob =
         ReadExtent(disk, root.catalog_sector, root.catalog_sectors, root.catalog_bytes);
-    if (blob.ok() && Crc64Parallel(*blob, pool) == root.catalog_crc &&
+    if (blob.ok() && Crc64(*blob) == root.catalog_crc &&
         blob->size() >= 8 && ReadU64(blob->data()) == kImageMagic) {
       choice.chosen = true;
       choice.root = root;
@@ -757,16 +757,14 @@ Result<LoadedImage> BuildImage(Disk* disk, const RootRecord& root,
 // --- SaveImage ---------------------------------------------------------------
 
 Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
-                               const TextFileService* texts, const ImageReceipt* previous,
-                               WorkerPool* pool) {
+                               const TextFileService* texts, const ImageReceipt* previous) {
   Disk& disk = store->disk();
   const int64_t sector_bytes = disk.bytes_per_sector();
   const int64_t roots_start = disk.total_sectors() - 2;
 
   std::vector<uint8_t> blob = SerializeCatalog(store, ropes, texts);
   const int64_t blob_bytes = static_cast<int64_t>(blob.size());
-  // Chunk-parallel on the pool when one is set; bit-identical either way.
-  const uint64_t blob_crc = Crc64Parallel(blob, pool);
+  const uint64_t blob_crc = Crc64(blob);
 
   // Everything this call allocates is released on any failure, leaving the
   // previously committed image untouched (the in-memory frees succeed even
@@ -825,7 +823,7 @@ Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
     rollback();
     return readback.status();
   }
-  if (Crc64Parallel(*readback, pool) != blob_crc) {
+  if (Crc64(*readback) != blob_crc) {
     rollback();
     return Status(ErrorCode::kIoError, "catalog read-back checksum mismatch");
   }
@@ -873,8 +871,8 @@ Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
 
 // --- LoadImage ---------------------------------------------------------------
 
-Result<LoadedImage> LoadImage(Disk* disk, WorkerPool* pool) {
-  RootChoice choice = ChooseRoot(disk, pool);
+Result<LoadedImage> LoadImage(Disk* disk) {
+  RootChoice choice = ChooseRoot(disk);
   if (!choice.any_magic) {
     return Status(ErrorCode::kNotFound, "no vaFS image on this disk");
   }

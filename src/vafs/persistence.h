@@ -41,8 +41,6 @@
 
 namespace vafs {
 
-class WorkerPool;
-
 // Sectors reserved for the intent journal at the first checkpoint. Bounded:
 // when the journal fills, mutations simply stop being journaled and the
 // next checkpoint captures them (losing only the redo optimization, never
@@ -62,13 +60,10 @@ struct ImageReceipt {
 // commits it with the A/B root protocol: write-new, verify by read-back,
 // flip the root, then free the old catalog. On any failure the previous
 // image remains the committed one and everything allocated by this call is
-// released. A worker pool (optional) spreads the catalog-blob CRC-64 over
-// chunk tasks (src/util/checksum.h, Crc64Parallel) — bit-identical to the
-// serial checksum, just off the caller's critical path.
+// released.
 Result<ImageReceipt> SaveImage(StrandStore* store, const RopeServer* ropes,
                                const TextFileService* texts,
-                               const ImageReceipt* previous = nullptr,
-                               WorkerPool* pool = nullptr);
+                               const ImageReceipt* previous = nullptr);
 
 // A recovered file system: fresh layers over the same disk.
 struct LoadedImage {
@@ -90,9 +85,8 @@ struct LoadedImage {
 // then replays any journaled intents of that generation. The disk must
 // outlive the returned layers. Returns kNotFound if neither root slot
 // carries the image magic (pristine disk), kInvalidArgument if roots exist
-// but no catalog is readable (Fsck territory). The optional pool
-// parallelizes the catalog checksum verification, as in SaveImage.
-Result<LoadedImage> LoadImage(Disk* disk, WorkerPool* pool = nullptr);
+// but no catalog is readable (Fsck territory).
+Result<LoadedImage> LoadImage(Disk* disk);
 
 // --- Intent journal ----------------------------------------------------------
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/msm/recorder.h"
@@ -158,6 +159,138 @@ TEST_F(RoundPlannerTest, ArrayMembersGetIndependentCScanQueues) {
   // takes 80 first, wraps to 20. Member 1 holds 60 then 90, in sweep order.
   EXPECT_EQ(member0, (std::vector<int64_t>{80, 20}));
   EXPECT_EQ(member1, (std::vector<int64_t>{60, 90}));
+}
+
+TEST_F(RoundPlannerTest, SameStartDifferentLengthsStaySeparateInEncounterOrder) {
+  // Dedup keys on the whole extent: a shorter read from the same sector is
+  // a different transfer, and equal sort keys keep encounter order.
+  PlanInput longer;
+  longer.request = 1;
+  longer.blocks = {AtSector(0, 100, 8)};
+  PlanInput shorter;
+  shorter.request = 2;
+  shorter.blocks = {AtSector(0, 100, 4)};
+  for (const bool longer_first : {true, false}) {
+    SCOPED_TRACE(longer_first ? "longer first" : "shorter first");
+    const std::vector<PlanInput> inputs =
+        longer_first ? std::vector<PlanInput>{longer, shorter}
+                     : std::vector<PlanInput>{shorter, longer};
+    const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, inputs);
+    ASSERT_EQ(plan.transfers.size(), 2u);
+    EXPECT_EQ(plan.read_transfers, 2);
+    EXPECT_EQ(plan.deduped_blocks, 0);
+    for (size_t i = 0; i < 2; ++i) {
+      const PlannedTransfer& transfer = plan.transfers[i];
+      EXPECT_EQ(transfer.start_sector, 100);
+      EXPECT_EQ(transfer.sectors, inputs[i].blocks[0].sectors);
+      ASSERT_EQ(plan.riders_of(transfer).size(), 1u);
+      EXPECT_EQ(plan.riders_of(transfer)[0].request, inputs[i].request);
+    }
+  }
+}
+
+TEST_F(RoundPlannerTest, AppendsSortIntoTheSweepAtTheirPosition) {
+  // Head at cylinder 40; reads at 50, 90 and 10; one recording appends at
+  // cylinder 70 (ahead of the arm), another at 20 (behind it, after the
+  // wrap). Appends carry no riders and are not read transfers.
+  PlanInput reader;
+  reader.request = 1;
+  reader.blocks = {AtCylinder(0, 50), AtCylinder(1, 90), AtCylinder(2, 10)};
+  PlanInput ahead;
+  ahead.request = 2;
+  ahead.append_blocks = 3;
+  ahead.append_position_sector = 70 * model_.params().SectorsPerCylinder();
+  PlanInput behind;
+  behind.request = 3;
+  behind.append_blocks = 1;
+  behind.append_position_sector = 20 * model_.params().SectorsPerCylinder();
+  const RoundPlan plan = BuildRoundPlan(model_, {40}, 1, {reader, ahead, behind});
+  ASSERT_EQ(plan.transfers.size(), 5u);
+  const std::vector<int64_t> expected_cylinders = {50, 70, 90, 10, 20};
+  for (size_t i = 0; i < plan.transfers.size(); ++i) {
+    EXPECT_EQ(CylinderOf(plan.transfers[i]), expected_cylinders[i]) << "transfer " << i;
+  }
+  EXPECT_TRUE(plan.transfers[1].is_append);
+  EXPECT_EQ(plan.transfers[1].append_request, 2u);
+  EXPECT_EQ(plan.transfers[1].append_blocks, 3);
+  EXPECT_EQ(plan.transfers[1].rider_count, 0u);
+  EXPECT_TRUE(plan.transfers[4].is_append);
+  EXPECT_EQ(plan.transfers[4].append_request, 3u);
+  EXPECT_EQ(plan.transfers[4].append_blocks, 1);
+  EXPECT_EQ(plan.read_transfers, 3);
+  EXPECT_EQ(plan.data_blocks, 3);
+}
+
+void ExpectSamePlan(const RoundPlan& actual, const RoundPlan& expected) {
+  ASSERT_EQ(actual.transfers.size(), expected.transfers.size());
+  for (size_t i = 0; i < expected.transfers.size(); ++i) {
+    SCOPED_TRACE("transfer " + std::to_string(i));
+    const PlannedTransfer& a = actual.transfers[i];
+    const PlannedTransfer& e = expected.transfers[i];
+    EXPECT_EQ(a.is_append, e.is_append);
+    EXPECT_EQ(a.start_sector, e.start_sector);
+    EXPECT_EQ(a.sectors, e.sectors);
+    EXPECT_EQ(a.member, e.member);
+    EXPECT_EQ(a.rider_begin, e.rider_begin);
+    EXPECT_EQ(a.rider_count, e.rider_count);
+    EXPECT_EQ(a.append_request, e.append_request);
+    EXPECT_EQ(a.append_blocks, e.append_blocks);
+  }
+  ASSERT_EQ(actual.riders.size(), expected.riders.size());
+  for (size_t i = 0; i < expected.riders.size(); ++i) {
+    SCOPED_TRACE("rider " + std::to_string(i));
+    const PlannedBlock& a = actual.riders[i];
+    const PlannedBlock& e = expected.riders[i];
+    EXPECT_EQ(a.request, e.request);
+    EXPECT_EQ(a.ordinal, e.ordinal);
+    EXPECT_EQ(a.sector, e.sector);
+    EXPECT_EQ(a.sectors, e.sectors);
+    EXPECT_EQ(a.slot, e.slot);
+  }
+  EXPECT_EQ(actual.data_blocks, expected.data_blocks);
+  EXPECT_EQ(actual.cache_hits, expected.cache_hits);
+  EXPECT_EQ(actual.read_transfers, expected.read_transfers);
+  EXPECT_EQ(actual.coalesced_blocks, expected.coalesced_blocks);
+  EXPECT_EQ(actual.deduped_blocks, expected.deduped_blocks);
+}
+
+TEST_F(RoundPlannerTest, ReusedPlanEqualsFreshPlan) {
+  // The scheduler plans every round into one RoundPlan it owns. A plan
+  // that carried a larger round (coalescing, dedup, a cache hit, an
+  // append) must hold exactly a fresh plan's program after the next one.
+  PlanInput lead;
+  lead.request = 1;
+  lead.blocks = {AtSector(0, 100, 4), AtSector(1, 104, 4), AtSector(2, 108, 4),
+                 AtCylinder(3, 60)};
+  PlanInput follower = lead;  // lockstep viewer: every extent dedups
+  follower.request = 2;
+  PlanInput cached;
+  cached.request = 3;
+  PlanCandidate hit = AtCylinder(0, 30);
+  hit.cache_hit = true;
+  cached.blocks = {hit, Silence(1), AtCylinder(2, 80)};
+  PlanInput recorder;
+  recorder.request = 4;
+  recorder.append_blocks = 2;
+  recorder.append_position_sector = 45 * model_.params().SectorsPerCylinder();
+
+  RoundPlan reused;
+  BuildRoundPlanInto(model_, {40}, 1, {lead, follower, cached, recorder}, &reused);
+  ASSERT_GT(reused.deduped_blocks, 0);
+  ASSERT_GT(reused.coalesced_blocks, 0);
+  ASSERT_EQ(reused.transfers.size(), 4u);  // 100..112, cyl 60, cyl 80, append
+  ASSERT_EQ(reused.riders.size(), 9u);
+
+  PlanInput next;
+  next.request = 2;
+  next.blocks = {AtCylinder(4, 20), AtSector(5, 104, 4)};
+  const std::vector<PlanInput> smaller = {next};
+  BuildRoundPlanInto(model_, {60}, 1, smaller, &reused);
+  const RoundPlan fresh = BuildRoundPlan(model_, {60}, 1, smaller);
+  ExpectSamePlan(reused, fresh);
+  EXPECT_EQ(reused.transfers.size(), 2u);
+  EXPECT_EQ(reused.deduped_blocks, 0);
+  EXPECT_EQ(reused.cache_hits, 0);
 }
 
 // SCAN (seek-ordered) servicing, the paper's Section 6.2 optimization.

@@ -1,33 +1,27 @@
-// Wall-clock execution engine: the WorkerPool itself, the pool-backed
-// helpers (chunked catalog checksums, Perfetto serialization) and DiskArray
-// fault accounting.
+// Wall-clock execution engine: the disk-array waves every node runs
+// inline inside its epoch task.
 //
-// The engine (DESIGN.md section 12) spends host cores only where work is
-// already independent in simulated time. Whole cluster nodes between epoch
-// barriers are covered by tests/criticalpath_test.cc; here the contract is
-// that a pooled export is byte-identical to the serial one for any worker
-// count, on healthy and on faulted planned-round traces.
+// The engine (DESIGN.md section 12) spends host cores only on whole
+// cluster nodes between epoch barriers; tests/criticalpath_test.cc and
+// tests/cluster_test.cc hold those runs byte-identical across worker
+// counts. Here the contract is the wave path itself: a planned-round
+// workload over a disk array audits clean when healthy and takes the
+// degraded path when a member faults, a faulted arm's mechanical time is
+// charged into wave completion, and payload checksums round-trip.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/disk/disk_array.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
-#include "src/obs/export.h"
 #include "src/obs/trace.h"
-#include "src/rope/rope_server.h"
 #include "src/sim/simulator.h"
 #include "src/util/checksum.h"
-#include "src/util/worker_pool.h"
-#include "src/vafs/persistence.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -36,19 +30,15 @@ namespace {
 constexpr int kMembers = 4;
 constexpr int kStreams = 3;
 
-// One scheduler run's trace and its Perfetto exports, rendered to bytes.
+// One scheduler run's trace, rendered to bytes, and its outcome.
 struct RunImage {
-  std::string trace;                         // TraceEventSummary of the full log
-  std::string perfetto;                      // serial PerfettoExporter output
-  std::vector<std::string> perfetto_pooled;  // pool-backed exports, one per kWorkerCounts
+  std::string trace;  // TraceEventSummary of the full log
   int64_t rounds = 0;
   int64_t blocks_done = 0;
   int64_t blocks_skipped = 0;
   bool auditor_clean = false;
   std::string auditor_report;
 };
-
-constexpr int kWorkerCounts[] = {1, 2, 8};
 
 // One fully deterministic planned-round workload over a kMembers array.
 // With `fault_member`, member 1 carries a whole-disk bad range, so every
@@ -118,12 +108,6 @@ RunImage RunWorkload(bool fault_member) {
     image.trace += obs::TraceEventSummary(event);
     image.trace += '\n';
   }
-  obs::PerfettoExporter exporter(&log.events());
-  image.perfetto = exporter.Export();
-  for (const int workers : kWorkerCounts) {
-    WorkerPool pool(workers);
-    image.perfetto_pooled.push_back(exporter.Export(&pool));
-  }
   image.rounds = scheduler.rounds_executed();
   for (RequestId id : ids) {
     Result<RequestStats> stats = scheduler.stats(id);
@@ -138,7 +122,7 @@ RunImage RunWorkload(bool fault_member) {
   return image;
 }
 
-TEST(WallclockExportTest, PooledPerfettoExportMatchesSerial) {
+TEST(WallclockPlannedArrayTest, FaultedMemberTakesTheDegradedPath) {
   const RunImage healthy = RunWorkload(/*fault_member=*/false);
   EXPECT_TRUE(healthy.auditor_clean) << healthy.auditor_report;
   EXPECT_GT(healthy.rounds, 1);
@@ -149,13 +133,6 @@ TEST(WallclockExportTest, PooledPerfettoExportMatchesSerial) {
   const RunImage faulted = RunWorkload(/*fault_member=*/true);
   EXPECT_GT(faulted.blocks_skipped, 0);
   EXPECT_NE(faulted.trace, healthy.trace);
-
-  for (const RunImage* image : {&healthy, &faulted}) {
-    ASSERT_EQ(image->perfetto_pooled.size(), std::size(kWorkerCounts));
-    for (size_t i = 0; i < image->perfetto_pooled.size(); ++i) {
-      EXPECT_EQ(image->perfetto_pooled[i], image->perfetto) << "workers=" << kWorkerCounts[i];
-    }
-  }
 }
 
 TEST(WallclockDiskArrayTest, FaultedMemberChargesMechanicalTimeIntoCompletion) {
@@ -201,99 +178,6 @@ TEST(WallclockDiskArrayTest, PayloadChecksumsRoundTrip) {
     EXPECT_EQ(outcome->per_request[i].payload_crc, Crc64(data[i]));
     EXPECT_NE(outcome->per_request[i].payload_crc, 0u);
   }
-}
-
-TEST(WallclockPersistenceTest, CheckpointRoundTripsThroughPool) {
-  Disk disk(TestDiskParameters());
-  StrandStore store(&disk);
-  ContinuityModel model(TestStorage(), TestVideoDevice());
-  Result<StrandPlacement> placement =
-      model.DerivePlacement(RetrievalArchitecture::kPipelined, TestVideo());
-  ASSERT_TRUE(placement.ok());
-  VideoSource source(TestVideo(), 9);
-  ASSERT_TRUE(RecordVideo(&store, &source, *placement, 2.0).ok());
-
-  // Save under a 4-worker pool (chunk-parallel catalog CRC), reload under
-  // the same pool; the serial path is already covered by persistence_test.
-  WorkerPool pool(4);
-  RopeServer ropes(&store);
-  Result<ImageReceipt> receipt = SaveImage(&store, &ropes, nullptr, nullptr, &pool);
-  ASSERT_TRUE(receipt.ok());
-  EXPECT_TRUE(receipt->valid);
-  Result<LoadedImage> image = LoadImage(&disk, &pool);
-  ASSERT_TRUE(image.ok());
-  EXPECT_EQ(image->strands_recovered, 1);
-}
-
-TEST(WallclockWorkerPoolTest, BackgroundSubmitsSurviveConcurrentRunAllBarriers) {
-  // The background lane's contract: tasks Submitted from another thread —
-  // even while the owner is running RunAll barriers — each execute exactly
-  // once, and a final Drain makes their writes visible. The RunAll
-  // restriction is on the barrier's own tasks, not on other threads.
-  for (int workers : {1, 4}) {
-    SCOPED_TRACE("workers=" + std::to_string(workers));
-    WorkerPool pool(workers);
-    constexpr int kBackground = 400;
-    constexpr int kWaves = 40;
-    constexpr int kTasksPerWave = 8;
-    std::vector<std::atomic<int>> slots(kBackground);
-    for (auto& slot : slots) {
-      slot.store(0, std::memory_order_relaxed);
-    }
-    std::atomic<int64_t> barrier_work{0};
-    std::thread producer([&pool, &slots] {
-      for (int i = 0; i < kBackground; ++i) {
-        pool.Submit([&slots, i] { slots[static_cast<size_t>(i)].fetch_add(1); });
-        if (i % 32 == 0) {
-          std::this_thread::yield();  // interleave with the barriers
-        }
-      }
-    });
-    for (int wave = 0; wave < kWaves; ++wave) {
-      std::vector<WorkerPool::Task> tasks;
-      tasks.reserve(kTasksPerWave);
-      for (int t = 0; t < kTasksPerWave; ++t) {
-        tasks.push_back([&barrier_work] { barrier_work.fetch_add(1); });
-      }
-      pool.RunAll(std::move(tasks));
-    }
-    producer.join();
-    pool.Drain();
-    EXPECT_EQ(barrier_work.load(), static_cast<int64_t>(kWaves) * kTasksPerWave);
-    for (int i = 0; i < kBackground; ++i) {
-      EXPECT_EQ(slots[static_cast<size_t>(i)].load(), 1) << "background task " << i;
-    }
-  }
-}
-
-TEST(WallclockWorkerPoolTest, DrainFromSecondThreadJoinsInFlightWork) {
-  // Two threads share the background lane: one submits and drains, the
-  // other hammers barriers. Drain must return only once the lane is empty,
-  // and neither side may deadlock the other.
-  WorkerPool pool(4);
-  std::atomic<int64_t> background{0};
-  std::atomic<int64_t> barrier_work{0};
-  std::thread producer([&pool, &background] {
-    for (int round = 0; round < 20; ++round) {
-      for (int i = 0; i < 16; ++i) {
-        pool.Submit([&background] { background.fetch_add(1); });
-      }
-      pool.Drain();
-      const int64_t seen = background.load();
-      ASSERT_GE(seen, (round + 1) * 16) << "Drain returned with work still in flight";
-    }
-  });
-  for (int wave = 0; wave < 40; ++wave) {
-    std::vector<WorkerPool::Task> tasks;
-    for (int t = 0; t < 4; ++t) {
-      tasks.push_back([&barrier_work] { barrier_work.fetch_add(1); });
-    }
-    pool.RunAll(std::move(tasks));
-  }
-  producer.join();
-  pool.Drain();
-  EXPECT_EQ(background.load(), 20 * 16);
-  EXPECT_EQ(barrier_work.load(), 40 * 4);
 }
 
 }  // namespace
