@@ -53,9 +53,7 @@ bool BlockCache::Lookup(int64_t sector, int64_t sectors) {
     ++stats_.misses;
     return false;
   }
-  lru_.erase(it->second.lru);
-  lru_.push_back(sector);
-  it->second.lru = std::prev(lru_.end());
+  Touch(&it->second, it->second.biased);
   ++stats_.hits;
   ++window_hits_;
   return true;
@@ -67,34 +65,38 @@ bool BlockCache::Contains(int64_t sector, int64_t sectors) const {
   return it != entries_.end() && it->second.sectors == sectors;
 }
 
-void BlockCache::Evict(std::map<int64_t, Entry>::iterator it) {
+void BlockCache::Touch(Entry* entry, bool biased) {
+  const EvictionKey old_key = entry->key();
+  entry->biased = biased;
+  entry->stamp = ++clock_;
+  if (entry->pins == 0) {
+    auto node = evictable_.extract(old_key);
+    node.key() = entry->key();
+    evictable_.insert(std::move(node));
+  }
+}
+
+void BlockCache::Evict(EntryMap::iterator it) {
   stats_.resident_bytes -= it->second.bytes;
   --stats_.resident_entries;
-  lru_.erase(it->second.lru);
+  if (it->second.pins == 0) {
+    evictable_.erase(it->second.key());
+  }
   entries_.erase(it);
 }
 
 bool BlockCache::MakeRoom(int64_t bytes) {
-  // Two passes over LRU order: plain entries first, interval-biased ones
-  // only when nothing else is left — a biased entry's next hit is another
-  // stream's scheduled read, the most valuable bytes in the cache.
-  for (const bool allow_biased : {false, true}) {
-    auto lru_it = lru_.begin();
-    while (stats_.resident_bytes + bytes > options_.capacity_bytes && lru_it != lru_.end()) {
-      auto entry = entries_.find(*lru_it);
-      assert(entry != entries_.end());
-      ++lru_it;  // advance before a potential erase
-      if (entry->second.pins > 0 || (entry->second.biased && !allow_biased)) {
-        continue;
-      }
-      Evict(entry);
-      ++stats_.evictions;
+  // The index puts plain entries first and interval-biased ones after them
+  // — a biased entry's next hit is another stream's scheduled read, the
+  // most valuable bytes in the cache — and holds no pinned entry at all.
+  while (stats_.resident_bytes + bytes > options_.capacity_bytes) {
+    if (evictable_.empty()) {
+      return false;
     }
-    if (stats_.resident_bytes + bytes <= options_.capacity_bytes) {
-      return true;
-    }
+    Evict(evictable_.begin()->second);
+    ++stats_.evictions;
   }
-  return false;
+  return true;
 }
 
 void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool interval_biased) {
@@ -105,10 +107,7 @@ void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool int
   auto existing = entries_.find(sector);
   if (existing != entries_.end()) {
     // Re-read of a resident extent: refresh recency and bias only.
-    existing->second.biased = existing->second.biased || interval_biased;
-    lru_.erase(existing->second.lru);
-    lru_.push_back(sector);
-    existing->second.lru = std::prev(lru_.end());
+    Touch(&existing->second, existing->second.biased || interval_biased);
     return;
   }
   if (!MakeRoom(bytes)) {
@@ -119,9 +118,9 @@ void BlockCache::Insert(int64_t sector, int64_t sectors, int64_t bytes, bool int
   entry.sectors = sectors;
   entry.bytes = bytes;
   entry.biased = interval_biased;
-  lru_.push_back(sector);
-  entry.lru = std::prev(lru_.end());
-  entries_.emplace(sector, entry);
+  entry.stamp = ++clock_;
+  const EntryMap::iterator it = entries_.emplace(sector, entry).first;
+  evictable_.emplace(entry.key(), it);
   stats_.resident_bytes += bytes;
   ++stats_.resident_entries;
   ++stats_.insertions;
@@ -135,6 +134,7 @@ bool BlockCache::Pin(int64_t sector, int64_t sectors) {
   }
   if (it->second.pins == 0) {
     ++stats_.pinned_entries;
+    evictable_.erase(it->second.key());
   }
   ++it->second.pins;
   return true;
@@ -148,6 +148,8 @@ void BlockCache::Unpin(int64_t sector, int64_t sectors) {
   }
   if (--it->second.pins == 0) {
     --stats_.pinned_entries;
+    // Back under the old stamp: the pin did not change the entry's recency.
+    evictable_.emplace(it->second.key(), it);
   }
 }
 
@@ -190,7 +192,7 @@ void BlockCache::InvalidateAll() {
   stats_.resident_entries = 0;
   stats_.pinned_entries = 0;
   entries_.clear();
-  lru_.clear();
+  evictable_.clear();
   // Nothing the window measured survives; the rate restarts from zero.
   window_hits_ = 0;
   window_lookups_ = 0;

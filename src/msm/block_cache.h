@@ -15,6 +15,14 @@
 // pages fetched during a stream's anti-jitter prelude can be pinned so
 // eviction cannot undo the startup guarantee before playback begins.
 //
+// Victims come off an ordered eviction index that holds only the unpinned
+// entries, keyed by (biased, last-touch stamp): its front is the least
+// recently touched plain entry, and biased entries follow every plain one,
+// again oldest first. A pin takes the entry out of the index and the last
+// unpin puts it back under its old stamp, so pinning never changes
+// recency. A touch (hit or refresh) re-keys one entry and each victim is
+// one pop, O(log n) each; eviction never visits an entry it will not take.
+//
 // Coherence: the cache indexes platter contents, so every path that
 // rewrites sectors must invalidate — StrandWriter appends (including
 // scattering repair and relocation, which write through fresh writers onto
@@ -28,21 +36,22 @@
 #define VAFS_SRC_MSM_BLOCK_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace vafs {
 
 // Recycles payload buffers between rounds. Acquired pages are zero-filled
 // (the simulated capture path records zero payloads), sized to whole
-// blocks, and returned to the pool on release instead of freed. Acquire
-// and Release are thread-safe so wall-clock worker tasks (DESIGN.md
-// section 12) can borrow scratch pages concurrently; the buffers handed
-// out are exclusively the caller's until released.
+// blocks, and returned to the pool on release instead of freed. A pool
+// belongs to one node and is used only by that node's epoch task
+// (DESIGN.md section 12), one task at a time; Acquire and Release still
+// lock, so the counters below may be read from another thread. The
+// buffers handed out are exclusively the caller's until released.
 class PagePool {
  public:
   // A zeroed buffer of exactly `bytes` bytes. Reuses a pooled page when
@@ -101,11 +110,12 @@ struct BlockCacheStats {
   int64_t pinned_entries = 0;
 };
 
-// Thread-safety: every mutating or probing method takes an internal
-// mutex, so planner probes and worker-task insertions may interleave.
-// stats() returns a reference into the guarded state — read it only from
-// the coordinating thread between waves (after the pool's join barrier),
-// which is where the scheduler and exporters already sample it.
+// Thread-safety: each node owns its cache, and only that node's epoch
+// task (DESIGN.md section 12) probes and mutates it, one task at a time.
+// Every probing or mutating method still takes an internal mutex. stats()
+// returns a reference into the guarded state: read it from the node's
+// own task, or from the coordinator between epochs (after the pool's join
+// barrier), which is where the scheduler and exporters sample it.
 class BlockCache {
  public:
   explicit BlockCache(BlockCacheOptions options);
@@ -113,7 +123,7 @@ class BlockCache {
   bool enabled() const { return options_.capacity_bytes > 0; }
 
   // Probes for the exact extent, counting a hit or miss and refreshing
-  // LRU order on hit.
+  // recency on hit.
   bool Lookup(int64_t sector, int64_t sectors);
 
   // Probe without touching stats or recency (admission-time coverage
@@ -148,26 +158,36 @@ class BlockCache {
   PagePool& page_pool() { return pool_; }
 
  private:
+  // (biased, last-touch stamp): plain entries sort before biased ones,
+  // each class oldest first. Stamps are unique, so a key names one entry.
+  using EvictionKey = std::pair<bool, uint64_t>;
+
   struct Entry {
     int64_t sector = 0;
     int64_t sectors = 0;
     int64_t bytes = 0;
     int64_t pins = 0;
     bool biased = false;
-    std::list<int64_t>::iterator lru;  // position in lru_ (keyed by sector)
+    uint64_t stamp = 0;  // last touch; kept while pinned
+    EvictionKey key() const { return {biased, stamp}; }
   };
+  using EntryMap = std::map<int64_t, Entry>;  // by start sector
 
-  // Both run under mutex_ (called from the locked public methods only).
-  void Evict(std::map<int64_t, Entry>::iterator it);
-  // Frees space until `bytes` more fit, honouring pins and bias. Returns
-  // false when pinned entries make that impossible.
+  // All three run under mutex_ (called from the locked public methods only).
+  // Gives the entry a fresh stamp and the given bias, re-keying it in the
+  // eviction index when it is unpinned.
+  void Touch(Entry* entry, bool biased);
+  void Evict(EntryMap::iterator it);
+  // Frees space until `bytes` more fit, popping victims off the eviction
+  // index. Returns false when pinned entries make that impossible.
   bool MakeRoom(int64_t bytes);
 
   mutable std::mutex mutex_;
   BlockCacheOptions options_;
   BlockCacheStats stats_;
-  std::map<int64_t, Entry> entries_;  // by start sector
-  std::list<int64_t> lru_;            // front = least recently used
+  EntryMap entries_;
+  std::map<EvictionKey, EntryMap::iterator> evictable_;  // unpinned only; front = next victim
+  uint64_t clock_ = 0;                                    // last stamp handed out
   int64_t window_lookups_ = 0;
   int64_t window_hits_ = 0;
   PagePool pool_;

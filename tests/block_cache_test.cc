@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <list>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "src/msm/block_cache.h"
@@ -11,6 +13,7 @@
 #include "src/obs/auditor.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
+#include "src/util/prng.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -208,6 +211,239 @@ TEST(BlockCacheTest, PinFailsWhenExtentIsNotResident) {
   // Unpinning the failed extent must not release the real pin.
   cache.Unpin(100, 8);
   EXPECT_EQ(cache.stats().pinned_entries, 1);
+}
+
+TEST(BlockCacheTest, UnpinnedEntryKeepsItsRecency) {
+  // Room for exactly three 4 KB entries.
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 3 * 4096});
+  cache.Insert(0, 8, 4096, false);
+  ASSERT_TRUE(cache.Pin(0, 8));
+  cache.Insert(100, 8, 4096, false);
+  cache.Insert(200, 8, 4096, false);
+  cache.Unpin(0, 8);
+  // The pin hid sector 0 from eviction without making it recent: it is
+  // still the least recently used entry, so it is the one victim.
+  cache.Insert(300, 8, 4096, false);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_FALSE(cache.Contains(0, 8));
+  EXPECT_TRUE(cache.Contains(100, 8));
+  EXPECT_TRUE(cache.Contains(200, 8));
+  EXPECT_TRUE(cache.Contains(300, 8));
+}
+
+TEST(BlockCacheTest, BiasedRefreshOutlivesNewerPlainEntries) {
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 8192});
+  cache.Insert(0, 8, 4096, false);
+  // A re-read that learns another stream is scheduled to read this extent
+  // moves it into the biased class...
+  cache.Insert(0, 8, 4096, /*interval_biased=*/true);
+  cache.Insert(100, 8, 4096, false);
+  // ...so the newer plain entry goes first, although sector 0 is older.
+  cache.Insert(200, 8, 4096, false);
+  EXPECT_EQ(cache.stats().evictions, 1);
+  EXPECT_TRUE(cache.Contains(0, 8));
+  EXPECT_FALSE(cache.Contains(100, 8));
+  EXPECT_TRUE(cache.Contains(200, 8));
+}
+
+// --- Differential check against the list walk ---------------------------
+
+// The replacement policy spelled out the slow way: one LRU list, and a
+// victim scan that walks it twice — plain entries on the first pass,
+// interval-biased ones only on the second, pinned ones never. BlockCache
+// must agree with it after every operation.
+class ListWalkCache {
+ public:
+  explicit ListWalkCache(BlockCacheOptions options) : options_(options) {}
+
+  bool Lookup(int64_t sector, int64_t sectors) {
+    if (window_lookups_ >= std::max<int64_t>(options_.hit_window, 2)) {
+      window_lookups_ /= 2;
+      window_hits_ /= 2;
+    }
+    ++window_lookups_;
+    auto it = Find(sector);
+    if (it == lru_.end() || it->sectors != sectors) {
+      ++stats_.misses;
+      return false;
+    }
+    lru_.splice(lru_.end(), lru_, it);
+    ++stats_.hits;
+    ++window_hits_;
+    return true;
+  }
+
+  void Insert(int64_t sector, int64_t sectors, int64_t bytes, bool interval_biased) {
+    if (bytes > options_.capacity_bytes) {
+      return;
+    }
+    if (auto it = Find(sector); it != lru_.end()) {
+      it->biased = it->biased || interval_biased;
+      lru_.splice(lru_.end(), lru_, it);
+      return;
+    }
+    for (const bool allow_biased : {false, true}) {
+      for (auto it = lru_.begin();
+           it != lru_.end() && stats_.resident_bytes + bytes > options_.capacity_bytes;) {
+        if (it->pins > 0 || (it->biased && !allow_biased)) {
+          ++it;
+          continue;
+        }
+        stats_.resident_bytes -= it->bytes;
+        --stats_.resident_entries;
+        ++stats_.evictions;
+        it = lru_.erase(it);
+      }
+    }
+    if (stats_.resident_bytes + bytes > options_.capacity_bytes) {
+      return;
+    }
+    lru_.push_back(Entry{sector, sectors, bytes, 0, interval_biased});
+    stats_.resident_bytes += bytes;
+    ++stats_.resident_entries;
+    ++stats_.insertions;
+  }
+
+  bool Pin(int64_t sector, int64_t sectors) {
+    auto it = Find(sector);
+    if (it == lru_.end() || it->sectors != sectors) {
+      return false;
+    }
+    if (it->pins++ == 0) {
+      ++stats_.pinned_entries;
+    }
+    return true;
+  }
+
+  void Unpin(int64_t sector, int64_t sectors) {
+    auto it = Find(sector);
+    if (it != lru_.end() && it->sectors == sectors && it->pins > 0 && --it->pins == 0) {
+      --stats_.pinned_entries;
+    }
+  }
+
+  int64_t InvalidateRange(int64_t sector, int64_t sectors) {
+    const int64_t resident_before = stats_.resident_entries;
+    int64_t dropped = 0;
+    for (auto it = lru_.begin(); it != lru_.end();) {
+      if (it->sector < sector + sectors && it->sector + it->sectors > sector) {
+        stats_.pinned_entries -= it->pins > 0 ? 1 : 0;
+        stats_.resident_bytes -= it->bytes;
+        --stats_.resident_entries;
+        it = lru_.erase(it);
+        ++dropped;
+      } else {
+        ++it;
+      }
+    }
+    stats_.invalidated_entries += dropped;
+    if (dropped > 0 && resident_before > 0) {
+      window_hits_ = (window_hits_ * stats_.resident_entries) / resident_before;
+    }
+    return dropped;
+  }
+
+  void InvalidateAll() {
+    stats_.invalidated_entries += stats_.resident_entries;
+    stats_.resident_bytes = 0;
+    stats_.resident_entries = 0;
+    stats_.pinned_entries = 0;
+    lru_.clear();
+    window_hits_ = 0;
+    window_lookups_ = 0;
+  }
+
+  bool Contains(int64_t sector, int64_t sectors) {
+    auto it = Find(sector);
+    return it != lru_.end() && it->sectors == sectors;
+  }
+
+  double RecentHitRate() const {
+    return window_lookups_ == 0 ? 0.0
+                                : static_cast<double>(window_hits_) /
+                                      static_cast<double>(window_lookups_);
+  }
+
+  const BlockCacheStats& stats() const { return stats_; }
+
+ private:
+  struct Entry {
+    int64_t sector;
+    int64_t sectors;
+    int64_t bytes;
+    int64_t pins;
+    bool biased;
+  };
+
+  std::list<Entry>::iterator Find(int64_t sector) {
+    return std::find_if(lru_.begin(), lru_.end(),
+                        [sector](const Entry& entry) { return entry.sector == sector; });
+  }
+
+  BlockCacheOptions options_;
+  BlockCacheStats stats_;
+  std::list<Entry> lru_;  // front = least recently used
+  int64_t window_lookups_ = 0;
+  int64_t window_hits_ = 0;
+};
+
+TEST(BlockCacheTest, EvictionMatchesTheListWalkOnRandomSequences) {
+  // Extents sit on an 8-sector grid (never overlapping), and a probe may
+  // name the short 4-sector extent at the same start to exercise length
+  // mismatches. Four 4 KB entries fill the cache, so evictions are frequent.
+  constexpr int64_t kSlots = 12;
+  const BlockCacheOptions options{.capacity_bytes = 4 * 4096, .hit_window = 16};
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Prng prng(seed);
+    BlockCache cache(options);
+    ListWalkCache model(options);
+    for (int op = 0; op < 400; ++op) {
+      static constexpr int64_t kBytes[] = {1024, 2048, 4096, 4096, 6144, 20000};
+      const int64_t sector = 8 * prng.NextInRange(0, kSlots - 1);
+      const int64_t sectors = prng.NextBelow(8) == 0 ? 4 : 8;
+      const int64_t bytes = kBytes[prng.NextBelow(std::size(kBytes))];
+      const int64_t span = 8 * prng.NextInRange(1, 3) - 6;
+      // < 15 biased insert, < 45 plain insert, < 70 lookup, < 82 pin,
+      // < 94 unpin, < 99 range invalidation, else invalidate all.
+      const uint64_t roll = prng.NextBelow(100);
+      SCOPED_TRACE("seed " + std::to_string(seed) + " op " + std::to_string(op) + " roll " +
+                   std::to_string(roll) + " extent " + std::to_string(sector) + "+" +
+                   std::to_string(sectors));
+      if (roll < 45) {
+        cache.Insert(sector, sectors, bytes, /*interval_biased=*/roll < 15);
+        model.Insert(sector, sectors, bytes, /*interval_biased=*/roll < 15);
+      } else if (roll < 70) {
+        ASSERT_EQ(cache.Lookup(sector, sectors), model.Lookup(sector, sectors));
+      } else if (roll < 82) {
+        ASSERT_EQ(cache.Pin(sector, sectors), model.Pin(sector, sectors));
+      } else if (roll < 94) {
+        cache.Unpin(sector, sectors);
+        model.Unpin(sector, sectors);
+      } else if (roll < 99) {
+        ASSERT_EQ(cache.InvalidateRange(sector + 3, span), model.InvalidateRange(sector + 3, span));
+      } else {
+        cache.InvalidateAll();
+        model.InvalidateAll();
+      }
+      for (int64_t slot = 0; slot < kSlots; ++slot) {
+        for (const int64_t length : {4, 8}) {
+          ASSERT_EQ(cache.Contains(8 * slot, length), model.Contains(8 * slot, length))
+              << "extent " << 8 * slot << "+" << length;
+        }
+      }
+      const BlockCacheStats& got = cache.stats();
+      const BlockCacheStats& want = model.stats();
+      ASSERT_EQ(got.hits, want.hits);
+      ASSERT_EQ(got.misses, want.misses);
+      ASSERT_EQ(got.insertions, want.insertions);
+      ASSERT_EQ(got.evictions, want.evictions);
+      ASSERT_EQ(got.invalidated_entries, want.invalidated_entries);
+      ASSERT_EQ(got.resident_bytes, want.resident_bytes);
+      ASSERT_EQ(got.resident_entries, want.resident_entries);
+      ASSERT_EQ(got.pinned_entries, want.pinned_entries);
+      ASSERT_EQ(cache.RecentHitRate(), model.RecentHitRate());
+    }
+  }
 }
 
 // --- Invalidation through the store (coherence) -------------------------

@@ -320,6 +320,75 @@ TEST(CrashRecoveryTest, FsckScavengesStrandsWhenBothRootsAreCorrupt) {
   EXPECT_EQ(fs.storage_manager().strand_count(), 3);
 }
 
+// Ropes (id, creator, every track segment, trigger count) and strands (id,
+// units, blocks), in catalog order: what Recover() must bring back.
+std::string CatalogSignature(MultimediaFileSystem* fs) {
+  std::string out;
+  for (const Rope* rope : fs->rope_server().AllRopes()) {
+    out += "rope " + std::to_string(rope->id()) + " " + rope->creator() + " triggers " +
+           std::to_string(rope->triggers().size());
+    for (const Track* track : {&rope->video(), &rope->audio()}) {
+      out += " |";
+      for (const TrackSegment& segment : track->segments) {
+        out += " " + std::to_string(segment.strand) + ":" + std::to_string(segment.start_unit) +
+               "+" + std::to_string(segment.unit_count);
+      }
+    }
+    out += "\n";
+  }
+  for (const StrandId id : fs->storage_manager().AllIds()) {
+    const Strand* strand = *fs->storage_manager().Get(id);
+    out += "strand " + std::to_string(id) + " " + std::to_string(strand->info().unit_count) +
+           " " + std::to_string(strand->block_count()) + "\n";
+  }
+  return out;
+}
+
+// A rope deletion and the garbage collection it enables, journaled after
+// the last checkpoint, replay to exactly the catalog they left behind: the
+// deleted ropes stay deleted, the collected strand stays collected, the
+// survivors keep their ids, and the image is clean.
+TEST(CrashRecoveryTest, JournaledRopeDeletionSurvivesRecover) {
+  MultimediaFileSystem fs(TestConfig());
+  ASSERT_NO_FATAL_FAILURE(BuildBase(&fs));
+  Status mutated = Mutate(&fs);
+  ASSERT_TRUE(mutated.ok()) << mutated.ToString();
+  const Rope* bob = nullptr;
+  for (const Rope* rope : fs.rope_server().AllRopes()) {
+    if (rope->creator() == "bob") {
+      bob = rope;
+    }
+  }
+  ASSERT_NE(bob, nullptr);
+  const RopeId bob_rope = bob->id();
+  // An edit that shares bob's strand, so the first collection must keep it.
+  Result<RopeId> clip =
+      fs.rope_server().Substring("bob", bob_rope, MediaSelector::kVideo, TimeInterval{0.0, 0.1});
+  ASSERT_TRUE(clip.ok()) << clip.status().ToString();
+  Status checkpoint = fs.Checkpoint();
+  ASSERT_TRUE(checkpoint.ok()) << checkpoint.ToString();
+  const int64_t strands_checkpointed = fs.storage_manager().strand_count();
+
+  ASSERT_TRUE(fs.rope_server().DeleteRope("bob", bob_rope).ok());
+  EXPECT_EQ(fs.rope_server().CollectGarbage(), 0);
+  ASSERT_TRUE(fs.rope_server().DeleteRope("bob", *clip).ok());
+  EXPECT_EQ(fs.rope_server().CollectGarbage(), 1);
+  ASSERT_EQ(fs.storage_manager().strand_count(), strands_checkpointed - 1);
+  const std::string before = CatalogSignature(&fs);
+
+  Status recovered = fs.Recover();
+  ASSERT_TRUE(recovered.ok()) << recovered.ToString();
+  EXPECT_EQ(CatalogSignature(&fs), before);
+  EXPECT_EQ(fs.rope_server().CollectGarbage(), 0);  // replay resurrected no garbage
+  ASSERT_NO_FATAL_FAILURE(ExpectBaseRecovered(&fs));
+  Result<FsckReport> report = fs.RunFsck();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_FALSE(report->used_scavenger);
+  for (const FsckFinding& finding : report->findings) {
+    ADD_FAILURE() << FsckFindingKindName(finding.kind) << ": " << finding.detail;
+  }
+}
+
 // With crash injection disabled the whole pipeline — including the new
 // journaling writes — must stay bit-identical across seeds.
 TEST(CrashRecoveryTest, DisabledInjectionLeavesDiskBitIdentical) {
