@@ -14,9 +14,8 @@
 //           trace, SLO and audit digests are deterministic and regression-
 //           gated against bench/baselines/.
 //
-//   waves   The planned-round array path at 5k streams over 8 members with
-//           payload verification ON: the PagePool counters show the pooled
-//           read path recycling pages instead of allocating per block.
+//   waves   The planned-round array path at 5k streams over 8 members:
+//           every round dispatches its C-SCAN member queues as waves.
 //
 // tools/check_scale.py gates that every sweep size ran once and executed
 // rounds (hard) and near-linear scaling (advisory). CI publishes
@@ -105,7 +104,6 @@ struct ScaleOutcome {
   int64_t trace_events = 0;
   uint64_t slo_digest = 0;
   uint64_t audit_digest = 0;
-  uint64_t payload_digest = 0;
   SimTime completion = 0;
   int64_t pool_created = 0;
   int64_t pool_recycled = 0;
@@ -238,8 +236,8 @@ DiskParameters WaveDisk() {
   return params;
 }
 
-// Planned rounds at `viewers` streams over an 8-member array with payload
-// verification on: the pooled read path carries every wave.
+// Planned rounds at `viewers` streams over an 8-member array: every
+// round's reads dispatch as member waves.
 ScaleOutcome RunWaves(int64_t viewers) {
   const MediaProfile video = UvcCompressedVideo();
   Disk disk(WaveDisk(), DiskOptions{.retain_data = false});
@@ -285,7 +283,6 @@ ScaleOutcome RunWaves(int64_t viewers) {
   SchedulerOptions options;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.verify_payloads = true;
   options.bypass_admission = true;
   options.forced_k = 1;
   options.batch_activation = true;
@@ -324,7 +321,6 @@ ScaleOutcome RunWaves(int64_t viewers) {
   outcome.trace_digest = trace.digest();
   outcome.trace_events = trace.events();
   outcome.slo_digest = FnvOf(slo.Report().ToJson());
-  outcome.payload_digest = scheduler.payload_digest();
   outcome.completion = sim.Now();
   outcome.pool_created = cache.page_pool().pages_created();
   outcome.pool_recycled = cache.page_pool().pages_recycled();
@@ -356,14 +352,14 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
         "       \"served_stream_rounds\": %lld, \"stream_round_cost_wall_sec\": %.6f,\n"
         "       \"trace_digest\": \"%016" PRIx64 "\", \"trace_events\": %lld,\n"
         "       \"slo_digest\": \"%016" PRIx64 "\", \"audit_digest\": \"%016" PRIx64 "\",\n"
-        "       \"payload_digest\": \"%016" PRIx64 "\", \"completion_usec\": %lld,\n"
+        "       \"completion_usec\": %lld,\n"
         "       \"pool_created\": %lld, \"pool_recycled\": %lld, \"pool_outstanding\": %lld}%s\n",
         run.part, static_cast<long long>(run.viewers), static_cast<long long>(run.admitted),
         static_cast<long long>(run.sessions_batched), static_cast<long long>(run.sessions_merged),
         run.wall_sec, static_cast<long long>(run.rounds), run.rounds_per_sec,
         static_cast<long long>(run.served_stream_rounds), run.stream_round_cost_wall_sec,
         run.trace_digest, static_cast<long long>(run.trace_events), run.slo_digest,
-        run.audit_digest, run.payload_digest, static_cast<long long>(run.completion),
+        run.audit_digest, static_cast<long long>(run.completion),
         static_cast<long long>(run.pool_created), static_cast<long long>(run.pool_recycled),
         static_cast<long long>(run.pool_outstanding), i + 1 < outcomes.size() ? "," : "");
   }
@@ -406,13 +402,6 @@ void PrintScaleTables() {
                 run.part, run.viewers, run.wall_sec, run.rounds, run.served_stream_rounds,
                 run.rounds_per_sec, run.stream_round_cost_wall_sec, run.trace_digest);
   }
-  const ScaleOutcome& waves = outcomes.back();
-  std::printf("pooled reads: %" PRId64 " pages created, %" PRId64 " recycled (%.1f%% reuse)\n",
-              waves.pool_created, waves.pool_recycled,
-              100.0 * static_cast<double>(waves.pool_recycled) /
-                  static_cast<double>(
-                      std::max<int64_t>(waves.pool_created + waves.pool_recycled, 1)));
-
   WriteScaleJson(outcomes);
 }
 

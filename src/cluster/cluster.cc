@@ -38,8 +38,9 @@ const char* NodeStateName(NodeState state) {
 StorageNode::StorageNode(int id, const FileSystemConfig& config)
     : id_(id), auditor_(obs::AuditorOptions{.round_time_slack = 0.05}) {
   FileSystemConfig node_config = config;
-  // The coordinator admits viewers through OpenSession and reads per-node
-  // SLO rollups, so every node runs telemetry and the session layer.
+  // The coordinator admits viewers through OpenSession, so every node runs
+  // the session layer; it reads per-node SLO rollups, so every node runs
+  // telemetry.
   node_config.telemetry.enabled = true;
   node_config.sessions.enabled = true;
   // Node identity is woven into the node's trace/span ids, so cluster-wide

@@ -80,8 +80,9 @@ namespace cluster {
 
 struct ClusterOptions {
   int nodes = 1;
-  // Per-node stack template; each node gets its own copy (telemetry and
-  // the session layer are forced on — routing admits through OpenSession).
+  // Per-node stack template; each node gets its own copy. The session
+  // layer is forced on because routing admits through OpenSession;
+  // telemetry is forced on only for the per-node SLO rollups.
   // Its scheduler.worker_pool runs the per-node epoch tasks and is shared
   // by every node; when null, the coordinator builds one pool from
   // VAFS_WORKERS. Its scheduler.trace is shared by every node too, and

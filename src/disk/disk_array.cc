@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <span>
 #include <string>
 #include <utility>
-
-#include "src/util/checksum.h"
 
 namespace vafs {
 
@@ -47,13 +46,10 @@ Status DiskArray::ValidateBatch(const std::vector<BatchRequest>& batch) const {
 }
 
 void DiskArray::RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
-                           std::span<const uint8_t> payload, BatchOutcome* outcome) const {
+                           BatchOutcome* outcome) const {
   MemberOutcome fate;
   if (service.ok()) {
     fate.service = *service;
-    if (checksum_payloads_ && !payload.empty()) {
-      fate.payload_crc = Crc64(payload);
-    }
   } else {
     // A faulted arm still moved: its mechanism time counts toward the wave.
     fate.status = service.status();
@@ -68,34 +64,16 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
   if (Status status = ValidateBatch(batch); !status.ok()) {
     return status;
   }
-  std::vector<std::vector<uint8_t>*> pages;
   if (out != nullptr) {
     out->assign(batch.size(), {});
-    for (std::vector<uint8_t>& page : *out) {
-      pages.push_back(&page);
-    }
-  }
-  return ReadBatchInto(batch, pages);
-}
-
-Result<DiskArray::BatchOutcome> DiskArray::ReadBatchInto(
-    const std::vector<BatchRequest>& batch, const std::vector<std::vector<uint8_t>*>& pages) {
-  if (Status status = ValidateBatch(batch); !status.ok()) {
-    return status;
-  }
-  if (!pages.empty() && pages.size() != batch.size()) {
-    return Status(ErrorCode::kInvalidArgument, "page count does not match batch size");
   }
   BatchOutcome outcome;
   outcome.per_request.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const BatchRequest& request = batch[i];
-    std::vector<uint8_t>* slot = pages.empty() ? nullptr : pages[i];
-    const Result<SimDuration> service =
-        member(request.member).Read(request.start_sector, request.sectors, slot);
-    RecordFate(request, service,
-               slot != nullptr ? std::span<const uint8_t>(*slot) : std::span<const uint8_t>(),
-               &outcome);
+    const Result<SimDuration> service = member(request.member).Read(
+        request.start_sector, request.sectors, out != nullptr ? &(*out)[i] : nullptr);
+    RecordFate(request, service, &outcome);
   }
   return outcome;
 }
@@ -116,7 +94,7 @@ Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchReq
         data.empty() ? std::span<const uint8_t>() : std::span<const uint8_t>(data[i]);
     const Result<SimDuration> service =
         member(request.member).Write(request.start_sector, request.sectors, payload);
-    RecordFate(request, service, payload, &outcome);
+    RecordFate(request, service, &outcome);
   }
   return outcome;
 }

@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/disk/disk.h"
@@ -62,10 +61,6 @@ class DiskArray {
   struct MemberOutcome {
     Status status = Status::Ok();
     SimDuration service = 0;
-    // CRC-64 of the payload moved by this request, computed when
-    // set_checksum_payloads(true); 0 otherwise (or when the request
-    // faulted / carried no data).
-    uint64_t payload_crc = 0;
   };
 
   struct BatchOutcome {
@@ -101,15 +96,6 @@ class DiskArray {
   Result<BatchOutcome> ReadBatch(const std::vector<BatchRequest>& batch,
                                  std::vector<std::vector<uint8_t>>* out);
 
-  // Pooled-payload variant: request i's data lands in `*pages[i]`, a
-  // caller-owned buffer (typically a PagePool page). The buffer is resized
-  // to the transfer's byte count, which allocates nothing when its capacity
-  // already suffices — the allocation-free read path of the 20k-stream
-  // rounds (DESIGN.md section 15). An empty `pages` (or a null entry)
-  // skips the payload for all (or that) request.
-  Result<BatchOutcome> ReadBatchInto(const std::vector<BatchRequest>& batch,
-                                     const std::vector<std::vector<uint8_t>*>& pages);
-
   // Parallel write counterpart; `data[i]` is the payload of request i.
   Result<BatchOutcome> WriteBatch(const std::vector<BatchRequest>& batch,
                                   const std::vector<std::vector<uint8_t>>& data);
@@ -124,12 +110,6 @@ class DiskArray {
   // paper's HDTV feasibility argument sweeps.
   double AggregateTransferRateBitsPerSec() const;
 
-  // When true, each request also computes the CRC-64 of the bytes it
-  // moved into MemberOutcome::payload_crc: an end-to-end integrity check.
-  // Requires retain_data on the members to see non-empty payloads.
-  void set_checksum_payloads(bool on) { checksum_payloads_ = on; }
-  bool checksum_payloads() const { return checksum_payloads_; }
-
  private:
   // One arm serves one request at a time: two requests on one member are
   // not concurrent, so they cannot share a batch. Callers with deeper
@@ -139,12 +119,11 @@ class DiskArray {
 
   // Appends one request's fate to `outcome` (for a faulted request, the
   // mechanical time its arm spent) and folds completion_time = max over
-  // members. `payload` is what the request moved, for the checksum.
+  // members.
   void RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
-                  std::span<const uint8_t> payload, BatchOutcome* outcome) const;
+                  BatchOutcome* outcome) const;
 
   std::vector<std::unique_ptr<Disk>> disks_;
-  bool checksum_payloads_ = false;
 };
 
 }  // namespace vafs

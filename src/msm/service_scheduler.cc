@@ -13,13 +13,23 @@
 
 namespace vafs {
 
+namespace {
+
+// Most re-reads of one faulted block before the scheduler gives up and
+// plays it as silence. Each retry must additionally fit the round's Eq. 11
+// budget — a retry never eats another stream's continuity slack.
+constexpr int64_t kMaxBlockRetries = 2;
+// Cache-aware admission threshold: the least expected (at admission) or
+// realized (per round) fraction of a stream's data blocks served from
+// memory that keeps it admitted past the Eq. 17 ceiling.
+constexpr double kCacheAdmissionMinHitRate = 0.6;
+
+}  // namespace
+
 ServiceScheduler::ServiceScheduler(StrandStore* store, Simulator* simulator,
                                    AdmissionControl admission, SchedulerOptions options)
     : store_(store), simulator_(simulator), admission_(std::move(admission)), options_(options) {
   admission_.set_trace_sink(options_.trace);
-  if (options_.disk_array != nullptr) {
-    options_.disk_array->set_checksum_payloads(options_.verify_payloads);
-  }
 }
 
 ServiceScheduler::ActiveRequest* ServiceScheduler::FindRequest(RequestId id) {
@@ -149,6 +159,12 @@ void ServiceScheduler::Emit(const obs::TraceEvent& event) const {
   }
 }
 
+void ServiceScheduler::NotifyLifecycle(RequestId id, LifecycleListener::Lifecycle transition) {
+  if (lifecycle_listener_ != nullptr) {
+    lifecycle_listener_->OnLifecycle(id, transition);
+  }
+}
+
 void ServiceScheduler::ChargeStage(obs::SpanStage stage, SimDuration usec) {
   if (!span_.open || usec <= 0) {
     return;
@@ -248,8 +264,7 @@ bool ServiceScheduler::CacheAdmissionEnabled() const {
 }
 
 int64_t ServiceScheduler::CacheLookaheadBlocks() const {
-  return options_.cache_admission_window > 0 ? options_.cache_admission_window
-                                             : std::max<int64_t>(4 * current_k_, 8);
+  return std::max<int64_t>(4 * current_k_, 8);
 }
 
 double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
@@ -312,7 +327,7 @@ Result<RequestId> ServiceScheduler::Submit(ActiveRequest request, const RequestS
       // collapse destructively pauses the stream (back to n_max).
       if (request.playback.has_value() && CacheAdmissionEnabled()) {
         coverage = ExpectedCacheCoverage(*request.playback, 0);
-        if (coverage + 1e-9 >= options_.cache_admission_min_hit_rate) {
+        if (coverage + 1e-9 >= kCacheAdmissionMinHitRate) {
           cache_admit = true;
           // Join at the rotation's round size (k transitions already
           // planned count: before the first round current_k_ is still 0).
@@ -332,16 +347,6 @@ Result<RequestId> ServiceScheduler::Submit(ActiveRequest request, const RequestS
       }
     }
   }
-  if (options_.max_k > 0 && schedule->back() > options_.max_k) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kSubmitRejected;
-    event.detail = "needs k beyond configured maximum";
-    Emit(event);
-    return Status(ErrorCode::kAdmissionRejected,
-                  "admitting would need k=" + std::to_string(schedule->back()) +
-                      " > configured maximum " + std::to_string(options_.max_k));
-  }
-
   const RequestId id = next_id_++;
   request.stats.id = id;
   request.stats.submit_time = simulator_->Now();
@@ -480,6 +485,7 @@ void ServiceScheduler::FinishRequest(ActiveRequest* request, SimTime now) {
   event.request = request->stats.id;
   event.blocks = request->stats.blocks_done;
   Emit(event);
+  NotifyLifecycle(request->stats.id, LifecycleListener::Lifecycle::kCompleted);
 }
 
 bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
@@ -500,7 +506,7 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
 
   int64_t retries = 0;
   while (service.status().code() == ErrorCode::kIoError && !device->failed() &&
-         retries < options_.max_block_retries) {
+         retries < kMaxBlockRetries) {
     if (peek_retry != nullptr) {
       // Affordability: after the failed op the arm rests on the extent's
       // cylinder, so PeekServiceTime is exactly what the re-attempt will
@@ -851,7 +857,7 @@ std::vector<RequestId> ServiceScheduler::CollapsedCacheAdmissions(
       continue;  // nothing demanded this round; no evidence either way
     }
     const double coverage = static_cast<double>(free_blocks) / static_cast<double>(data);
-    if (coverage + 1e-9 < options_.cache_admission_min_hit_rate) {
+    if (coverage + 1e-9 < kCacheAdmissionMinHitRate) {
       collapsed.push_back(id);
     }
   }
@@ -1185,12 +1191,6 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         queue_scratch_[static_cast<size_t>(transfer.member)].push_back(&transfer);
       }
     }
-    // Payload buffers come from the page pool, so verify_payloads rounds
-    // stop allocating O(blocks) vectors: each wave borrows one page per
-    // batch entry and returns it at the barrier.
-    PagePool& page_pool =
-        options_.block_cache != nullptr ? options_.block_cache->page_pool() : scratch_pool_;
-    const int64_t sector_bytes = disk.bytes_per_sector();
     uint64_t wave_index = 0;
     for (;;) {
       batch_scratch_.clear();
@@ -1229,19 +1229,8 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
         break;
       }
       const SimTime wave_start = *now;
-      // With verify_payloads the wave reads real data and each member
-      // request CRCs its own payload (see DiskArray).
-      wave_pages_.clear();
-      if (options_.verify_payloads) {
-        for (const DiskArray::BatchRequest& request : batch) {
-          wave_pages_.push_back(page_pool.Acquire(request.sectors * sector_bytes));
-        }
-      }
-      Result<DiskArray::BatchOutcome> outcome = array->ReadBatchInto(batch, wave_pages_);
+      Result<DiskArray::BatchOutcome> outcome = array->ReadBatch(batch, nullptr);
       assert(outcome.ok());  // the planner only builds well-formed batches
-      for (std::vector<uint8_t>* page : wave_pages_) {
-        page_pool.Release(page);
-      }
       *now = wave_start + outcome->completion_time;
 
       // Span bookkeeping happens after the wave, in batch order. The
@@ -1273,10 +1262,6 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       for (size_t i = 0; i < wave.size(); ++i) {
         const PlannedTransfer& transfer = *wave[i];
         const DiskArray::MemberOutcome& member_outcome = outcome->per_request[i];
-        if (options_.verify_payloads && member_outcome.status.ok()) {
-          // Fold in batch order.
-          payload_digest_ = (payload_digest_ ^ member_outcome.payload_crc) * 1099511628211ULL;
-        }
         attribute(transfer, member_outcome.service);
         const uint64_t entry_owner = plan.riders_of(transfer).front().request;
         const obs::SpanStage entry_stage = TransferStageFor(RequestAt(entry_owner));
@@ -1652,6 +1637,7 @@ Status ServiceScheduler::Stop(RequestId id) {
   event.request = id;
   event.blocks = request.stats.blocks_done;
   Emit(event);
+  NotifyLifecycle(id, LifecycleListener::Lifecycle::kStopped);
   return Status::Ok();
 }
 
@@ -1699,6 +1685,9 @@ Status ServiceScheduler::Pause(RequestId id, bool destructive) {
   event.request = id;
   event.destructive = destructive;
   Emit(event);
+  if (destructive) {
+    NotifyLifecycle(id, LifecycleListener::Lifecycle::kPausedDestructive);
+  }
   return Status::Ok();
 }
 
@@ -1720,6 +1709,7 @@ Status ServiceScheduler::Resume(RequestId id) {
     event.kind = obs::TraceEventKind::kResume;
     event.request = id;
     Emit(event);
+    NotifyLifecycle(id, LifecycleListener::Lifecycle::kResumed);
     ScheduleRound();
     return Status::Ok();
   }
@@ -1734,7 +1724,7 @@ Status ServiceScheduler::Resume(RequestId id) {
   double coverage = 0.0;
   if (!schedule.ok() && request.playback.has_value() && CacheAdmissionEnabled()) {
     coverage = ExpectedCacheCoverage(*request.playback, request.next_block);
-    if (coverage + 1e-9 >= options_.cache_admission_min_hit_rate) {
+    if (coverage + 1e-9 >= kCacheAdmissionMinHitRate) {
       cache_admit = true;
       int64_t rotation_k = current_k_;
       for (const PendingAdmission& waiting : pending_) {
@@ -1776,6 +1766,7 @@ Status ServiceScheduler::Resume(RequestId id) {
   event.request = id;
   event.destructive = true;
   Emit(event);
+  NotifyLifecycle(id, LifecycleListener::Lifecycle::kResumed);
   ScheduleRound();
   return Status::Ok();
 }

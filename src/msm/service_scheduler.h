@@ -123,17 +123,11 @@ struct SchedulerOptions {
   // If false, k jumps straight to the new target on admission (the naive
   // policy the paper warns about); if true, k steps by 1 per round.
   bool stepped_transitions = true;
-  // Upper bound on k to keep startup latencies sane; 0 = unlimited.
-  int64_t max_k = 0;
   ServiceOrder service_order = ServiceOrder::kRoundRobin;
   // Experiments only: admit every request regardless of the admission
   // test, with a fixed round size (`forced_k`, or the current k if 0).
   bool bypass_admission = false;
   int64_t forced_k = 0;
-  // Most re-reads of one faulted block before the scheduler gives up and
-  // plays it as silence. Each retry must additionally fit the round's
-  // Eq. 11 budget — a retry never eats another stream's continuity slack.
-  int64_t max_block_retries = 2;
   // Shared block cache probed by kPlanned rounds (see src/msm/block_cache.h).
   // Must outlive the scheduler; null or capacity 0 disables caching. Wire
   // the same cache into the StrandStore (set_block_cache) so writes
@@ -149,19 +143,13 @@ struct SchedulerOptions {
   // in its node template. The scheduler and the facade never touch it, so
   // rounds always run on the calling thread. Must outlive the scheduler.
   WorkerPool* worker_pool = nullptr;
-  // End-to-end payload verification: planned waves read block data and
-  // each member request folds a CRC-64 of the bytes it moved; the scheduler
-  // combines them in batch order into payload_digest().
-  bool verify_payloads = false;
   // Cache-aware admission (kPlanned + cache only): a playback request the
-  // Eq. 17 test rejects is still admitted when at least
-  // `cache_admission_min_hit_rate` of its upcoming window is expected from
-  // memory (resident, or scheduled by another active stream of the same
-  // strand). If a round's realized coverage drops below the threshold the
-  // stream is destructively paused — the set degrades back to n_max.
+  // Eq. 17 test rejects is still admitted when at least 60% of its
+  // upcoming window is expected from memory (resident, or scheduled by
+  // another active stream of the same strand). If a round's realized
+  // coverage drops below the threshold the stream is destructively paused
+  // — the set degrades back to n_max.
   bool cache_aware_admission = false;
-  double cache_admission_min_hit_rate = 0.6;
-  int64_t cache_admission_window = 0;  // blocks of lookahead; 0 = 4k
   // Optional observability: request lifecycle, admission decisions and
   // per-round service records are reported here (see src/obs/trace.h).
   // The sink must outlive the scheduler.
@@ -186,6 +174,25 @@ struct SchedulerOptions {
 
 class ServiceScheduler {
  public:
+  // Typed request-lifecycle callbacks for the control layer above the
+  // scheduler (the session layer). A listener is part of service, not of
+  // telemetry: it is called right after the transition's trace event,
+  // whether or not a trace sink is attached. Only the transitions a
+  // listener acts on are reported; a non-destructive pause is not.
+  class LifecycleListener {
+   public:
+    enum class Lifecycle {
+      kCompleted,          // the request delivered its last block
+      kStopped,            // Stop() halted it
+      kPausedDestructive,  // a destructive pause released its slot
+      kResumed,            // either Resume() path put it back in service
+    };
+    virtual ~LifecycleListener() = default;
+    virtual void OnLifecycle(RequestId id, Lifecycle transition) = 0;
+  };
+  // The listener must outlive the scheduler (or be cleared first).
+  void set_lifecycle_listener(LifecycleListener* listener) { lifecycle_listener_ = listener; }
+
   ServiceScheduler(StrandStore* store, Simulator* simulator, AdmissionControl admission,
                    SchedulerOptions options = SchedulerOptions());
 
@@ -214,12 +221,6 @@ class ServiceScheduler {
   int64_t current_k() const { return current_k_; }
   int64_t active_request_count() const;
   int64_t rounds_executed() const { return rounds_; }
-
-  // Running FNV-1a-style fold of every payload CRC the planned waves
-  // computed (SchedulerOptions::verify_payloads), combined in batch order
-  // after each wave. The offset basis when verification is off or nothing
-  // transferred yet.
-  uint64_t payload_digest() const { return payload_digest_; }
 
   // Marks a request as a stream-merging patch: its transfers are charged
   // to the merge_patch stage of the round's span ledger instead of
@@ -310,6 +311,7 @@ class ServiceScheduler {
   // caller adds kind-specific fields and passes it to Emit.
   obs::TraceEvent TraceContext() const;
   void Emit(const obs::TraceEvent& event) const;
+  void NotifyLifecycle(RequestId id, LifecycleListener::Lifecycle transition);
   void ScheduleRound();
   void RunRound();
   // The running round's Eq. 11 envelope over the active rotation.
@@ -365,6 +367,7 @@ class ServiceScheduler {
   // active stream's scheduled reads).
   double ExpectedCacheCoverage(const PlaybackRequest& playback, int64_t from_block) const;
   bool CacheAdmissionEnabled() const;
+  // Blocks of lookahead for cache coverage and eviction bias: max(4k, 8).
   int64_t CacheLookaheadBlocks() const;
   // Executes one planned round: builds the program (revoking collapsed
   // cache admissions), dispatches it (C-SCAN on one spindle, or parallel
@@ -423,8 +426,7 @@ class ServiceScheduler {
   // while the round still fits inside it. 0 budget = no active requests.
   SimTime round_start_ = 0;
   SimDuration round_budget_ = 0;
-  // FNV-1a 64-bit offset basis; see payload_digest().
-  uint64_t payload_digest_ = 14695981039346656037ULL;
+  LifecycleListener* lifecycle_listener_ = nullptr;
   // Recording payload scratch when no shared cache provides a pool.
   PagePool scratch_pool_;
   SpanContext span_;
@@ -471,7 +473,6 @@ class ServiceScheduler {
   std::vector<DiskArray::BatchRequest> batch_scratch_;
   std::vector<const PlannedTransfer*> wave_scratch_;
   std::vector<int64_t> wave_dist_scratch_;
-  std::vector<std::vector<uint8_t>*> wave_pages_;  // pooled payload buffers
 
   // Fills group_keys_/group_riders_[0..group_count_) with the transfer's
   // distinct extents in first-encounter order. One grouping is live at a

@@ -7,6 +7,13 @@
 
 namespace vafs {
 
+namespace {
+
+// Most of the leader's recently delivered extents pinned per new rider.
+constexpr int64_t kTrailPinLimit = 64;
+
+}  // namespace
+
 SessionManager::SessionManager(ServiceScheduler* scheduler, Simulator* simulator,
                                BlockCache* cache, obs::TraceSink* trace, SessionOptions options)
     : scheduler_(scheduler),
@@ -38,7 +45,7 @@ int64_t SessionManager::LeaderBlocksDone(RequestId leader) const {
 
 void SessionManager::PinLeaderTrail(const Group& group, int64_t leader_pos, int64_t rider_start,
                                     Session* session) {
-  if (!options_.pin_leader_trail || cache_ == nullptr || !cache_->enabled()) {
+  if (cache_ == nullptr || !cache_->enabled()) {
     return;
   }
   // The rider missed the leader's deliveries between its own start and the
@@ -47,7 +54,7 @@ void SessionManager::PinLeaderTrail(const Group& group, int64_t leader_pos, int6
   // block space (its playback may itself start mid-title).
   const int64_t gap = leader_pos - group.leader_start;
   const int64_t first = std::max({int64_t{0}, rider_start - group.leader_start,
-                                  gap - options_.trail_pin_limit});
+                                  gap - kTrailPinLimit});
   for (int64_t i = first; i < gap && i < static_cast<int64_t>(group.blocks.size()); ++i) {
     const PrimaryEntry& entry = group.blocks[static_cast<size_t>(i)];
     if (entry.IsSilence()) {
@@ -258,7 +265,7 @@ void SessionManager::HandlePatchGone(Session* session, bool try_resume) {
   if (try_resume && !session->resume_pending) {
     // One deferred re-application: the pause may be transient (the slot
     // freed again by the time the next event runs). Scheduled instead of
-    // called inline — the pause is still being emitted up the tee. A
+    // called inline — the scheduler is still inside the pause. A
     // session already degraded by its leader's revocation still gets the
     // attempt: degrading to solo means the patch stream should keep
     // delivering if admission allows.
@@ -287,10 +294,10 @@ void SessionManager::HandlePatchGone(Session* session, bool try_resume) {
   patch_index_.erase(session->ticket.patch_request);
 }
 
-void SessionManager::OnEvent(const obs::TraceEvent& event) {
-  switch (event.kind) {
-    case obs::TraceEventKind::kCompleted: {
-      if (auto pit = patch_index_.find(event.request); pit != patch_index_.end()) {
+void SessionManager::OnLifecycle(RequestId id, Lifecycle transition) {
+  switch (transition) {
+    case Lifecycle::kCompleted: {
+      if (auto pit = patch_index_.find(id); pit != patch_index_.end()) {
         Session& session = sessions_.at(pit->second);
         if (!session.merged && !session.degraded) {
           // The patch closed its gap: the rider now follows the leader,
@@ -323,53 +330,34 @@ void SessionManager::OnEvent(const obs::TraceEvent& event) {
           session.finished = true;
         }
         // The patch stream is terminal either way; stop indexing it so a
-        // late Stop/Pause event for a recycled id cannot touch this session.
+        // late stop or pause of a recycled id cannot touch this session.
         patch_index_.erase(pit);
         break;
       }
-      if (auto git = groups_.find(event.request); git != groups_.end()) {
+      if (auto git = groups_.find(id); git != groups_.end()) {
         CloseGroup(&git->second, /*completed=*/true);
       }
       break;
     }
-    case obs::TraceEventKind::kStop: {
-      if (auto pit = patch_index_.find(event.request); pit != patch_index_.end()) {
-        HandlePatchGone(&sessions_.at(pit->second), /*try_resume=*/false);
+    case Lifecycle::kStopped:
+    case Lifecycle::kPausedDestructive: {
+      if (auto pit = patch_index_.find(id); pit != patch_index_.end()) {
+        // A destructively paused patch gets one deferred resume; a stopped
+        // one is gone for good.
+        HandlePatchGone(&sessions_.at(pit->second),
+                        /*try_resume=*/transition == Lifecycle::kPausedDestructive);
         break;
       }
-      if (auto git = groups_.find(event.request); git != groups_.end()) {
+      if (auto git = groups_.find(id); git != groups_.end()) {
         CloseGroup(&git->second, /*completed=*/false);
       }
       break;
     }
-    case obs::TraceEventKind::kPause: {
-      if (!event.destructive) {
-        break;
-      }
-      if (auto pit = patch_index_.find(event.request); pit != patch_index_.end()) {
-        HandlePatchGone(&sessions_.at(pit->second), /*try_resume=*/true);
-        break;
-      }
-      if (auto git = groups_.find(event.request); git != groups_.end()) {
-        CloseGroup(&git->second, /*completed=*/false);
-      }
-      break;
-    }
-    case obs::TraceEventKind::kResume:
-      if (auto pit = patch_index_.find(event.request); pit != patch_index_.end()) {
+    case Lifecycle::kResumed:
+      if (auto pit = patch_index_.find(id); pit != patch_index_.end()) {
         sessions_.at(pit->second).resume_pending = false;  // re-applied; re-arm
       }
       break;
-    case obs::TraceEventKind::kRecovery:
-      // Every request (leaders and patches alike) died with the crash; the
-      // cache was invalidated wholesale, so no pins survive to release.
-      groups_.clear();
-      live_group_.clear();
-      sessions_.clear();
-      patch_index_.clear();
-      break;
-    default:
-      break;  // session events (our own) and everything else
   }
 }
 

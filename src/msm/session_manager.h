@@ -24,11 +24,12 @@
 //    round planner already dedups blocks shared by concurrent streams of
 //    one strand within a round.
 //
-// The manager learns about stream progress the same way every other
-// observer does — as a TraceSink on the telemetry tee — and emits its own
-// kSessionBatched / kSessionPatched / kSessionMerged events into the same
-// stream, where the ContinuityAuditor checks the merge bookkeeping and the
-// SloTracker aggregates per-session state.
+// The manager learns about stream progress from the scheduler itself, as
+// its LifecycleListener (completed, stopped, destructively paused,
+// resumed), so sessions behave the same with telemetry on or off. It
+// emits its own kSessionBatched / kSessionPatched / kSessionMerged events
+// into the trace stream it is given, where the ContinuityAuditor checks
+// the merge bookkeeping and the SloTracker aggregates per-session state.
 
 #ifndef VAFS_SRC_MSM_SESSION_MANAGER_H_
 #define VAFS_SRC_MSM_SESSION_MANAGER_H_
@@ -57,10 +58,6 @@ struct SessionOptions {
   // Slop added to the gap in the Section 3 runway bound, covering the
   // patch's startup rounds during which the leader keeps delivering.
   int64_t runway_margin_blocks = 4;
-  // Pin the leader's recently delivered extents for a new rider, so the
-  // blocks it just missed survive eviction until it consumes them.
-  bool pin_leader_trail = true;
-  int64_t trail_pin_limit = 64;  // most extents pinned per rider
 };
 
 // One viewer's admission through the session layer.
@@ -94,11 +91,11 @@ struct SessionCensus {
   int64_t degraded = 0;  // patches lost to a pause/stop before merging
 };
 
-class SessionManager : public obs::TraceSink {
+class SessionManager : public ServiceScheduler::LifecycleListener {
  public:
   // All pointers must outlive the manager. `trace` receives the session
-  // events (normally the telemetry tee, with this manager registered as
-  // its last sink); `cache` may be null (trail pinning disabled).
+  // events and may be null; `cache` may be null (trail pinning disabled).
+  // The owner registers the manager as `scheduler`'s lifecycle listener.
   SessionManager(ServiceScheduler* scheduler, Simulator* simulator, BlockCache* cache,
                  obs::TraceSink* trace, SessionOptions options);
 
@@ -114,10 +111,12 @@ class SessionManager : public obs::TraceSink {
 
   // Progress observation: merges patches, closes groups, re-applies a
   // destructively paused patch once.
-  void OnEvent(const obs::TraceEvent& event) override;
+  void OnLifecycle(RequestId id, Lifecycle transition) override;
 
   // Re-targets the manager at a rebuilt scheduler (crash recovery) and
-  // drops all session state: every leader and patch died with the crash.
+  // drops all session state: every leader and patch died with the crash,
+  // and the cache was invalidated wholesale, so no pins survive to release.
+  // The owner registers the manager with the new scheduler.
   void Rebind(ServiceScheduler* scheduler);
 
   // Viewers currently live: their consuming stream has not completed.
@@ -147,9 +146,10 @@ class SessionManager : public obs::TraceSink {
   };
 
   void Emit(obs::TraceEventKind kind, const Session& session, int64_t runway) const;
-  // Pins the leader's recent deliveries the rider missed: leader-space
-  // blocks [max(rider_start, pos - trail_pin_limit), pos), where `pos` and
-  // `rider_start` are absolute title-block positions.
+  // Pins the leader's recent deliveries the rider missed, so they survive
+  // eviction until the rider consumes them: leader-space blocks
+  // [max(rider_start, pos - 64), pos), where `pos` and `rider_start` are
+  // absolute title-block positions.
   void PinLeaderTrail(const Group& group, int64_t leader_pos, int64_t rider_start,
                       Session* session);
   void UnpinTrail(Session* session);

@@ -186,7 +186,7 @@ void ContinuityAuditor::HandleRound(const TraceEvent& event) {
       }
       previous_round_k_ = event.k;
       slot_released_ = false;
-      if (options_.check_round_time && round_saturated_ && round_serviced_ > 0) {
+      if (round_saturated_ && round_serviced_ > 0) {
         // Eq. 11 on a saturated round: the round must not outlast the
         // playback of any request's fetched blocks.
         const double allowed =

@@ -61,8 +61,6 @@ struct AuditorOptions {
   // Mirrors SchedulerOptions::stepped_transitions: when false (the naive
   // jump policy), the one-step-per-round check is skipped.
   bool stepped_transitions = true;
-  // Eq. 11 round-time check on saturated rounds.
-  bool check_round_time = true;
   // Fractional slack on the Eq. 11 budget (0.05 = 5%), for workloads whose
   // realized scattering legitimately exceeds the fleet average admission
   // planned with.

@@ -12,6 +12,11 @@ namespace obs {
 
 namespace {
 
+// Rounds of dominant-stage history kept per node, and the history a node
+// needs before its rounds get anomaly verdicts.
+constexpr size_t kTrailingWindow = 16;
+constexpr size_t kMinHistory = 8;
+
 // Stage preference on exact ties: real work beats bookkeeping, so a round
 // that spends as long seeking as queueing is reported as seek-bound.
 constexpr std::array<SpanStage, 7> kDominanceOrder = {
@@ -130,7 +135,7 @@ void CriticalPathAnalyzer::Ingest(const TraceEvent& event) {
     history_.resize(slot + 1);
   }
   std::deque<SpanStage>& history = history_[slot];
-  if (history.size() >= options_.min_history) {
+  if (history.size() >= kMinHistory) {
     std::array<size_t, 12> counts{};
     for (const SpanStage stage : history) {
       ++counts[static_cast<size_t>(stage)];
@@ -144,7 +149,7 @@ void CriticalPathAnalyzer::Ingest(const TraceEvent& event) {
     round.anomalous = static_cast<size_t>(round.dominant) != mode;
   }
   history.push_back(round.dominant);
-  while (history.size() > options_.trailing_window) {
+  while (history.size() > kTrailingWindow) {
     history.pop_front();
   }
 

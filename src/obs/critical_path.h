@@ -47,9 +47,7 @@ struct RoundCriticalPath {
 };
 
 struct CriticalPathOptions {
-  TraceSink* out = nullptr;     // downstream sink (events pass through)
-  size_t trailing_window = 16;  // rounds of dominant-stage history per node
-  size_t min_history = 8;       // verdicts withheld until this much history
+  TraceSink* out = nullptr;  // downstream sink (events pass through)
 };
 
 class CriticalPathAnalyzer : public TraceSink {

@@ -54,7 +54,7 @@ enum class TraceEventKind {
   kJournalAppend,  // a metadata intent reached the journal extent
   kJournalReplay,  // recovery applied one journal intent
   kFsckFinding,    // the scavenger reported one finding; `detail` names it
-  kRecovery,       // a recovery (LoadImage or Fsck) completed
+  kRecovery,       // the facade's Recover() rebuilt the layers; `detail` names how
   // Round I/O planner (src/msm/round_planner.h).
   kRoundPlanned,     // a round's transfer program was built
   kSeekAccounting,   // round-end measured vs worst-case arm travel

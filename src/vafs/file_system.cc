@@ -91,14 +91,13 @@ MultimediaFileSystem::MultimediaFileSystem(const FileSystemConfig& config) : con
   admission_ = std::make_unique<AdmissionControl>(storage, avg_scattering);
   scheduler_ =
       std::make_unique<ServiceScheduler>(store_.get(), &simulator_, *admission_, config_.scheduler);
-  if (config_.sessions.enabled && telemetry_ != nullptr) {
-    // The manager observes stream progress from the tee and emits session
-    // events back into it; registered last so its nested emissions reach
-    // the other sinks after the event that triggered them.
+  if (config_.sessions.enabled) {
+    // Control comes from the scheduler's lifecycle listener (registered in
+    // InstallListeners); the session events go to the scheduler's trace
+    // stream, which telemetry only observes.
     session_manager_ = std::make_unique<SessionManager>(scheduler_.get(), &simulator_,
-                                                        block_cache_.get(), &telemetry_->tee,
-                                                        config_.sessions);
-    telemetry_->tee.Add(session_manager_.get());
+                                                        block_cache_.get(),
+                                                        config_.scheduler.trace, config_.sessions);
   }
   ropes_ = std::make_unique<RopeServer>(store_.get());
   text_files_ = std::make_unique<TextFileService>(disk_.get(), &store_->allocator());
@@ -109,6 +108,9 @@ void MultimediaFileSystem::InstallListeners() {
   store_->set_catalog_listener(&journal_hook_);
   ropes_->set_mutation_listener(&journal_hook_);
   text_files_->set_listener(&journal_hook_);
+  if (session_manager_ != nullptr) {
+    scheduler_->set_lifecycle_listener(session_manager_.get());
+  }
 }
 
 void MultimediaFileSystem::Journal(Intent intent, const std::vector<uint8_t>& payload) {
@@ -263,8 +265,7 @@ Result<SessionTicket> MultimediaFileSystem::OpenSession(const std::string& user,
                                                         Medium medium, TimeInterval interval) {
   if (session_manager_ == nullptr) {
     return Status(ErrorCode::kInvalidArgument,
-                  "session layer disabled (FileSystemConfig::sessions.enabled "
-                  "requires telemetry)");
+                  "session layer disabled (set FileSystemConfig::sessions.enabled)");
   }
   Result<PlaybackRequest> request = BuildPlayback(user, rope, medium, interval, 1.0);
   if (!request.ok()) {
@@ -314,6 +315,8 @@ Status MultimediaFileSystem::Recover() {
 
   int64_t journal_resume_offset = 0;
   int64_t journal_resume_sequence = 0;
+  int64_t strands_recovered = 0;
+  const char* recovered_via = "load_image";
   Result<LoadedImage> image = LoadImage(disk_.get());
   if (image.ok()) {
     store_ = std::move(image->store);
@@ -322,6 +325,7 @@ Status MultimediaFileSystem::Recover() {
     image_receipt_ = image->receipt;
     journal_resume_offset = image->journal_resume_offset_sectors;
     journal_resume_sequence = image->journal_resume_sequence;
+    strands_recovered = image->strands_recovered;
   } else if (image.status().code() == ErrorCode::kNotFound) {
     return image.status();  // pristine disk: nothing to recover
   } else {
@@ -334,6 +338,8 @@ Status MultimediaFileSystem::Recover() {
     ropes_ = std::move(report->ropes);
     text_files_ = std::move(report->texts);
     image_receipt_ = report->receipt;
+    strands_recovered = report->strands_recovered;
+    recovered_via = report->used_scavenger ? "fsck_scavenge" : "fsck";
   }
 
   // The scheduler's in-flight requests died with the crash; drop the
@@ -357,8 +363,8 @@ Status MultimediaFileSystem::Recover() {
     disk_->set_trace_sink(&telemetry_->tee);
   }
   if (session_manager_ != nullptr) {
-    // Same tee registration, fresh scheduler: every leader and patch died
-    // with the crash, so the manager drops its groups wholesale.
+    // Fresh scheduler: every leader and patch died with the crash, so the
+    // manager drops its groups wholesale (InstallListeners re-registers it).
     session_manager_->Rebind(scheduler_.get());
   }
   InstallListeners();
@@ -370,6 +376,16 @@ Status MultimediaFileSystem::Recover() {
     journal_.reset();  // scavenged state has no committed generation
   }
   journal_overflowed_ = false;
+  // Announced only now that the layers are replaced: an offline RunFsck()
+  // over a live system must not reset the observers' recovery state.
+  if (obs::TraceSink* sink = disk_->trace_sink(); sink != nullptr) {
+    obs::TraceEvent event;
+    event.kind = obs::TraceEventKind::kRecovery;
+    event.round = image_receipt_.generation;
+    event.blocks = strands_recovered;
+    event.detail = recovered_via;
+    sink->OnEvent(event);
+  }
   return Status::Ok();
 }
 

@@ -84,9 +84,10 @@ struct FileSystemConfig {
   std::string disk_image_path;
   bool disk_image_truncate = false;  // discard an existing image file
   // Stream-merging session layer (src/msm/session_manager.h). When enabled
-  // the facade owns a SessionManager fed from the telemetry tee; viewers
-  // admitted through OpenSession() share physical streams by batching and
-  // patching. Requires telemetry (the manager observes the trace stream).
+  // the facade owns a SessionManager, registered as the scheduler's
+  // lifecycle listener; viewers admitted through OpenSession() share
+  // physical streams by batching and patching. Works with telemetry on or
+  // off: telemetry only observes the session events.
   SessionOptions sessions;
   // Disk fault injection (src/disk/fault_injector.h). The default injects
   // nothing and leaves every simulation bit-identical.
@@ -109,7 +110,7 @@ class MultimediaFileSystem {
   const AdmissionControl& admission() const { return *admission_; }
   // Null unless FileSystemConfig::block_cache has a positive capacity.
   BlockCache* block_cache() { return block_cache_.get(); }
-  // Null unless FileSystemConfig::sessions.enabled (with telemetry on).
+  // Null unless FileSystemConfig::sessions.enabled.
   SessionManager* session_manager() { return session_manager_.get(); }
 
   // Placement derived for a media profile under the configured
@@ -171,11 +172,14 @@ class MultimediaFileSystem {
   // the replayed intent journal; falls back to the fsck scavenger when no
   // root yields a readable catalog. Restores power after a simulated cut,
   // abandons all active requests (their admission slots die with the
-  // scheduler), and clears pending simulator events.
+  // scheduler), and clears pending simulator events. Once the layers are
+  // replaced it emits one kRecovery event (`detail` load_image, fsck or
+  // fsck_scavenge).
   Status Recover();
 
   // Offline check-and-repair over the current disk. Unlike Recover(), the
-  // in-memory layers are not replaced; the report carries its own.
+  // in-memory layers are not replaced (the report carries its own), and
+  // live requests and sessions keep running.
   Result<FsckReport> RunFsck() { return Fsck(disk_.get()); }
 
   // Untimed data-path read of a rope interval (for verification and

@@ -879,13 +879,7 @@ Result<LoadedImage> LoadImage(Disk* disk) {
   if (!choice.chosen) {
     return Status(ErrorCode::kInvalidArgument, "no readable catalog behind either root");
   }
-  Result<LoadedImage> image = BuildImage(disk, choice.root, choice.catalog, nullptr);
-  if (!image.ok()) {
-    return image.status();
-  }
-  Emit(disk, obs::TraceEventKind::kRecovery, image->receipt.generation, 0,
-       image->strands_recovered, "load_image");
-  return image;
+  return BuildImage(disk, choice.root, choice.catalog, nullptr);
 }
 
 // --- Intent journal ----------------------------------------------------------
@@ -1187,8 +1181,6 @@ Result<FsckReport> Fsck(Disk* disk) {
     Emit(disk, obs::TraceEventKind::kFsckFinding, 0, finding.extent.start_sector,
          finding.extent.sectors, FsckFindingKindName(finding.kind));
   }
-  Emit(disk, obs::TraceEventKind::kRecovery, report.receipt.generation, 0,
-       report.strands_recovered, report.used_scavenger ? "fsck_scavenge" : "fsck");
   return report;
 }
 

@@ -72,7 +72,6 @@ TEST(ScaleSmokeTest, FiveThousandStreamsRunCleanUnderStrictAudit) {
   options.trace = &tee;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.verify_payloads = true;
   options.bypass_admission = true;  // the hot path is under test, not Eq. 17
   options.forced_k = 1;
   options.batch_activation = true;  // all 5k join the rotation in one round

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/disk/disk_array.h"
@@ -234,6 +235,43 @@ TEST_F(SchedulerTest, PauseStateTransitionsValidated) {
   scheduler.RunUntilIdle();
   EXPECT_EQ(scheduler.stats(999).status().code(), ErrorCode::kNotFound);
   EXPECT_EQ(scheduler.Stop(999).code(), ErrorCode::kNotFound);
+}
+
+TEST_F(SchedulerTest, LifecycleListenerHearsTransitionsWithoutATraceSink) {
+  // The listener is control, not telemetry: with no trace sink attached it
+  // still hears every completion, stop, destructive pause and resume (both
+  // paths), and nothing for a non-destructive pause.
+  using Lifecycle = ServiceScheduler::LifecycleListener::Lifecycle;
+  struct Recorder : ServiceScheduler::LifecycleListener {
+    void OnLifecycle(RequestId id, Lifecycle transition) override {
+      seen.emplace_back(id, transition);
+    }
+    std::vector<std::pair<RequestId, Lifecycle>> seen;
+  };
+  PlaybackRequest short_request = MakePlayback(2.0, 71);
+  PlaybackRequest long_request = MakePlayback(4.0, 72);
+  PlaybackRequest stopped_request = MakePlayback(4.0, 73);
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), SchedulerOptions());
+  Recorder recorder;
+  scheduler.set_lifecycle_listener(&recorder);
+  const RequestId a = *scheduler.SubmitPlayback(std::move(short_request));
+  const RequestId b = *scheduler.SubmitPlayback(std::move(long_request));
+  const RequestId c = *scheduler.SubmitPlayback(std::move(stopped_request));
+  sim_.RunUntil(SecondsToUsec(0.5));
+
+  ASSERT_TRUE(scheduler.Pause(a, /*destructive=*/false).ok());
+  EXPECT_TRUE(recorder.seen.empty()) << "a non-destructive pause is not reported";
+  ASSERT_TRUE(scheduler.Resume(a).ok());
+  ASSERT_TRUE(scheduler.Pause(b, /*destructive=*/true).ok());
+  ASSERT_TRUE(scheduler.Resume(b).ok());
+  ASSERT_TRUE(scheduler.Stop(c).ok());
+  scheduler.RunUntilIdle();
+
+  const std::vector<std::pair<RequestId, Lifecycle>> expected = {
+      {a, Lifecycle::kResumed}, {b, Lifecycle::kPausedDestructive}, {b, Lifecycle::kResumed},
+      {c, Lifecycle::kStopped}, {a, Lifecycle::kCompleted},         {b, Lifecycle::kCompleted},
+  };
+  EXPECT_EQ(recorder.seen, expected);
 }
 
 TEST_F(SchedulerTest, RecordingWritesAStrand) {

@@ -137,6 +137,71 @@ class SessionTest : public ::testing::Test {
     return recorded->rope;
   }
 
+  // One flash-crowd run: two recorded titles, Zipf arrivals (seed 33) with
+  // a burst on title 0, every viewer admitted through OpenSession, driven
+  // to idle.
+  struct FlashCrowdRun {
+    size_t arrivals = 0;
+    std::vector<SessionTicket> admitted;
+    int rejected = 0;
+    SessionCensus census;
+    int64_t live_viewers = 0;
+    std::vector<RequestStats> requests;  // every physical stream, by id
+  };
+
+  static FlashCrowdRun RunFlashCrowd(const FileSystemConfig& config) {
+    MultimediaFileSystem fs(config);
+    std::vector<RopeId> ropes;
+    ropes.push_back(RecordTitle(&fs, 4.0, 17));
+    ropes.push_back(RecordTitle(&fs, 4.0, 19));
+
+    sim::WorkloadOptions options;
+    options.titles = 4;
+    options.duration_sec = 6.0;
+    options.arrival_rate_per_sec = 0.8;
+    options.flash_start_sec = 1.0;
+    options.flash_duration_sec = 2.0;
+    options.flash_rate_multiplier = 6.0;
+    options.flash_title_bias = 1.0;
+    options.flash_title = 0;
+    options.seed = 33;
+    const std::vector<sim::WorkloadArrival> arrivals = sim::WorkloadEngine(options).Generate();
+
+    FlashCrowdRun run;
+    run.arrivals = arrivals.size();
+    const SimTime base = fs.simulator().Now();
+    for (const sim::WorkloadArrival& arrival : arrivals) {
+      const RopeId rope = ropes[static_cast<size_t>(arrival.title) % ropes.size()];
+      fs.simulator().ScheduleAt(base + SecondsToUsec(arrival.time_sec), [&fs, &run, rope]() {
+        Result<SessionTicket> ticket =
+            fs.OpenSession("crowd", rope, Medium::kVideo, TimeInterval{0.0, 4.0});
+        if (ticket.ok()) {
+          run.admitted.push_back(*ticket);
+        } else {
+          ++run.rejected;
+        }
+      });
+    }
+    fs.RunUntilIdle();
+
+    if (fs.session_manager() == nullptr) {
+      ADD_FAILURE() << "no session layer was built";
+      return run;
+    }
+    run.census = fs.session_manager()->census();
+    run.live_viewers = fs.session_manager()->LiveViewers();
+    // Request ids are issued from 1 upward, so this walks every stream the
+    // scheduler ran: leaders, solo streams and patches alike.
+    for (RequestId id = 1;; ++id) {
+      Result<RequestStats> stats = fs.Stats(id);
+      if (!stats.ok()) {
+        break;
+      }
+      run.requests.push_back(*stats);
+    }
+    return run;
+  }
+
   obs::ContinuityAuditor auditor_{obs::AuditorOptions{.round_time_slack = 0.05}};
 };
 
@@ -311,54 +376,85 @@ TEST_F(SessionTest, LeaderRevokedDuringPatchDegradesToSoloWithoutDoubleRelease) 
 }
 
 TEST_F(SessionTest, FlashCrowdAdmitsRidersUnderStrictAudit) {
-  MultimediaFileSystem fs(SessionConfig());
-  std::vector<RopeId> ropes;
-  ropes.push_back(RecordTitle(&fs, 4.0, 17));
-  ropes.push_back(RecordTitle(&fs, 4.0, 19));
+  const FlashCrowdRun run = RunFlashCrowd(SessionConfig());
+  ASSERT_GT(run.arrivals, 4u);
 
-  sim::WorkloadOptions options;
-  options.titles = 4;
-  options.duration_sec = 6.0;
-  options.arrival_rate_per_sec = 0.8;
-  options.flash_start_sec = 1.0;
-  options.flash_duration_sec = 2.0;
-  options.flash_rate_multiplier = 6.0;
-  options.flash_title_bias = 1.0;
-  options.flash_title = 0;
-  options.seed = 33;
-  const std::vector<sim::WorkloadArrival> arrivals = sim::WorkloadEngine(options).Generate();
-  ASSERT_GT(arrivals.size(), 4u);
-
-  const SimTime base = fs.simulator().Now();
-  std::vector<SessionTicket> admitted;
-  int rejected = 0;
-  for (const sim::WorkloadArrival& arrival : arrivals) {
-    const RopeId rope = ropes[static_cast<size_t>(arrival.title) % ropes.size()];
-    fs.simulator().ScheduleAt(base + SecondsToUsec(arrival.time_sec), [&fs, &admitted, &rejected,
-                                                                       rope]() {
-      Result<SessionTicket> ticket =
-          fs.OpenSession("crowd", rope, Medium::kVideo, TimeInterval{0.0, 4.0});
-      if (ticket.ok()) {
-        admitted.push_back(*ticket);
-      } else {
-        ++rejected;
-      }
-    });
-  }
-  fs.RunUntilIdle();
-
-  const SessionCensus& census = fs.session_manager()->census();
-  EXPECT_EQ(census.viewers, static_cast<int64_t>(admitted.size()));
-  EXPECT_EQ(static_cast<size_t>(census.viewers) + rejected, arrivals.size());
+  const SessionCensus& census = run.census;
+  EXPECT_EQ(census.viewers, static_cast<int64_t>(run.admitted.size()));
+  EXPECT_EQ(static_cast<size_t>(census.viewers) + run.rejected, run.arrivals);
   // The flash crowd shares streams: the layer must admit more viewers than
   // it opened physical streams, with nobody degraded.
   EXPECT_GT(census.batched + census.patched, 0);
   EXPECT_GT(census.viewers, census.leaders);
   EXPECT_EQ(census.degraded, 0);
-  EXPECT_EQ(fs.session_manager()->LiveViewers(), 0);
-  for (const SessionTicket& ticket : admitted) {
-    EXPECT_TRUE(fs.Stats(ticket.request)->completed) << "session " << ticket.session;
+  EXPECT_EQ(run.live_viewers, 0);
+  for (const SessionTicket& ticket : run.admitted) {
+    ASSERT_LE(ticket.request, run.requests.size());
+    EXPECT_TRUE(run.requests[ticket.request - 1].completed) << "session " << ticket.session;
   }
+}
+
+TEST_F(SessionTest, SessionsServeTheSameWithTelemetryOff) {
+  // Control never rides the telemetry bus: turning telemetry off changes
+  // no session decision and no stream's service. Each run gets its own
+  // strict auditor as the user sink.
+  obs::ContinuityAuditor auditor_on{obs::AuditorOptions{.round_time_slack = 0.05}};
+  obs::ContinuityAuditor auditor_off{obs::AuditorOptions{.round_time_slack = 0.05}};
+  FileSystemConfig on = SessionConfig();
+  on.scheduler.trace = &auditor_on;
+  FileSystemConfig off = SessionConfig();
+  off.scheduler.trace = &auditor_off;
+  off.telemetry.enabled = false;
+  const FlashCrowdRun with = RunFlashCrowd(on);
+  const FlashCrowdRun without = RunFlashCrowd(off);
+  EXPECT_TRUE(auditor_on.Clean()) << auditor_on.Report();
+  EXPECT_TRUE(auditor_off.Clean()) << auditor_off.Report();
+
+  EXPECT_GT(with.census.batched + with.census.patched, 0);
+  EXPECT_EQ(without.census.viewers, with.census.viewers);
+  EXPECT_EQ(without.census.leaders, with.census.leaders);
+  EXPECT_EQ(without.census.batched, with.census.batched);
+  EXPECT_EQ(without.census.patched, with.census.patched);
+  EXPECT_EQ(without.census.merged, with.census.merged);
+  EXPECT_EQ(without.census.degraded, with.census.degraded);
+  ASSERT_EQ(without.requests.size(), with.requests.size());
+  for (size_t i = 0; i < with.requests.size(); ++i) {
+    const RequestStats& a = with.requests[i];
+    const RequestStats& b = without.requests[i];
+    EXPECT_EQ(b.blocks_done, a.blocks_done) << "request " << a.id;
+    EXPECT_EQ(b.completion_time, a.completion_time) << "request " << a.id;
+    EXPECT_EQ(b.startup_latency, a.startup_latency) << "request " << a.id;
+    EXPECT_EQ(b.continuity_violations, a.continuity_violations) << "request " << a.id;
+    EXPECT_EQ(b.blocks_skipped, a.blocks_skipped) << "request " << a.id;
+  }
+}
+
+TEST_F(SessionTest, LiveFsckLeavesSessionsRunning) {
+  // An offline check over a live system is not a recovery: the patch must
+  // still merge, the leader-trail pins must come off, and the strict
+  // auditor's slot ledger must not be reset under running streams.
+  MultimediaFileSystem fs(SessionConfig());
+  const RopeId rope = RecordTitle(&fs, 4.0, 13);
+  ASSERT_TRUE(fs.Checkpoint().ok());
+  const TimeInterval interval{0.0, 4.0};
+  Result<SessionTicket> leader = fs.OpenSession("alice", rope, Medium::kVideo, interval);
+  ASSERT_TRUE(leader.ok()) << leader.status().ToString();
+  fs.simulator().RunUntil(fs.simulator().Now() + SecondsToUsec(1.5));
+  Result<SessionTicket> rider = fs.OpenSession("bob", rope, Medium::kVideo, interval);
+  ASSERT_TRUE(rider.ok()) << rider.status().ToString();
+  ASSERT_EQ(rider->mode, SessionTicket::Mode::kPatched);
+  ASSERT_GT(fs.block_cache()->stats().pinned_entries, 0);
+  fs.simulator().RunUntil(fs.simulator().Now() + SecondsToUsec(0.1));
+  ASSERT_FALSE(fs.Stats(rider->patch_request)->completed) << "the patch must still be running";
+
+  Result<FsckReport> report = fs.RunFsck();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  fs.RunUntilIdle();
+
+  EXPECT_TRUE(fs.Stats(rider->patch_request)->completed);
+  EXPECT_EQ(fs.session_manager()->census().merged, 1);
+  EXPECT_EQ(fs.block_cache()->stats().pinned_entries, 0);
+  EXPECT_EQ(fs.SloSnapshot().sessions_merged, 1);
 }
 
 }  // namespace

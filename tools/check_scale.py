@@ -16,8 +16,7 @@ Advisory (reported, never fatal -- wall-clock cost depends on the host):
   - wall cost per served stream-round (one kRequestServiced event) at the
     largest sweep size should stay within 5x of the smallest sweep; the
     flat request table and the arena-reused round plan exist to keep that
-    ratio flat;
-  - the waves runs should recycle PagePool pages (reuse ratio > 0).
+    ratio flat.
 """
 
 import json
@@ -99,19 +98,6 @@ def check_scale(path: str) -> None:
                 print(f"advisory: {line}; hot path is not scaling flat")
             else:
                 print(f"ok: {line}")
-
-    # Advisory: the waves runs should be recycling pool pages.
-    for run in waves:
-        created = run.get("pool_created", 0)
-        recycled = run.get("pool_recycled", 0)
-        if created + recycled > 0:
-            reuse = recycled / (created + recycled)
-            print(f"ok: waves recycled "
-                  f"{recycled} of {created + recycled} page acquisitions "
-                  f"({100.0 * reuse:.1f}% reuse)")
-        else:
-            print(f"advisory: waves acquired no "
-                  f"pool pages (payload verification off?)")
 
 
 def main() -> int:
