@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cinttypes>
+#include <string>
 #include <vector>
 
 #include "bench/bench_support.h"
@@ -105,15 +106,30 @@ void PrintTransitionTable() {
   std::printf("%8s | %22s | %22s\n", "streams", "stepped (Eq. 18)", "naive jump");
   std::printf("%8s | %10s %11s | %10s %11s\n", "", "admitted", "glitches", "admitted",
               "glitches");
+  // The table's machine-readable twin, pinned exactly by check_regression.py.
+  std::string json = "{\n  \"transition\": {\n    \"rows\": [\n";
+  bool first = true;
   for (int target : {4, 8, 12}) {
     const TransitionResult stepped = RunScenario(true, target);
     const TransitionResult naive = RunScenario(false, target);
     std::printf("%8d | %10d %11" PRId64 " | %10d %11" PRId64 "\n", target,
                 stepped.streams_admitted, stepped.preexisting_violations,
                 naive.streams_admitted, naive.preexisting_violations);
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "%s      {\"streams\": %d, \"stepped_admitted\": %d, "
+                  "\"stepped_glitches\": %" PRId64 ", \"naive_admitted\": %d, "
+                  "\"naive_glitches\": %" PRId64 "}",
+                  first ? "" : ",\n", target, stepped.streams_admitted,
+                  stepped.preexisting_violations, naive.streams_admitted,
+                  naive.preexisting_violations);
+    json += row;
+    first = false;
   }
+  json += "\n    ]\n  }\n}";
   std::printf("(glitches = continuity violations on streams that were already playing\n"
               " when a newcomer was admitted)\n");
+  WriteTextArtifact(json, "admission_transition", "_table_metrics.json", "table");
 }
 
 void BM_AdmitOneStream(benchmark::State& state) {

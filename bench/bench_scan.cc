@@ -11,6 +11,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cinttypes>
+#include <string>
 #include <vector>
 
 #include "bench/bench_support.h"
@@ -123,23 +124,36 @@ Outcome RunStreams(ServiceOrder order, int n, int64_t forced_k) {
 void PrintScanTable() {
   PrintHeader("Section 6.2 (SCAN)", "FIFO vs seek-ordered servicing, fixed k = 8");
   PrintOperatingPoint(ScanDisk());
-  {
-    const StorageTimings storage = StorageTimings::FromDiskModel(DiskModel(ScanDisk()));
-    AdmissionControl admission(storage, storage.avg_rotational_latency_sec);
-    std::printf("round-robin admission ceiling n_max = %lld (worst-case switch charge)\n",
-                static_cast<long long>(
-                    admission.Analyze({RequestSpec{UvcCompressedVideo(), 4}}).n_max));
-  }
+  const StorageTimings storage = StorageTimings::FromDiskModel(DiskModel(ScanDisk()));
+  AdmissionControl admission(storage, storage.avg_rotational_latency_sec);
+  const int64_t n_max = admission.Analyze({RequestSpec{UvcCompressedVideo(), 4}}).n_max;
+  std::printf("round-robin admission ceiling n_max = %lld (worst-case switch charge)\n",
+              static_cast<long long>(n_max));
   std::printf("%4s | %16s %14s | %16s %14s\n", "n", "FIFO glitches", "disk busy", "SCAN glitches",
               "disk busy");
+  // The table's machine-readable twin, pinned exactly by check_regression.py.
+  std::string json = "{\n  \"scan\": {\n    \"n_max\": " + std::to_string(n_max) +
+                     ",\n    \"rows\": [\n";
+  bool first = true;
   for (int n : {8, 16, 24, 28, 32}) {
     const Outcome fifo = RunStreams(ServiceOrder::kRoundRobin, n, 8);
     const Outcome scan = RunStreams(ServiceOrder::kSeekScan, n, 8);
     std::printf("%4d | %16" PRId64 " %12.1f s | %16" PRId64 " %12.1f s\n", n, fifo.violations,
                 fifo.busy_sec, scan.violations, scan.busy_sec);
+    char row[256];
+    std::snprintf(row, sizeof(row),
+                  "%s      {\"n\": %d, \"fifo_glitches\": %" PRId64
+                  ", \"fifo_busy_sec\": %.6f, \"scan_glitches\": %" PRId64
+                  ", \"scan_busy_sec\": %.6f}",
+                  first ? "" : ",\n", n, fifo.violations, fifo.busy_sec, scan.violations,
+                  scan.busy_sec);
+    json += row;
+    first = false;
   }
+  json += "\n    ]\n  }\n}";
   std::printf("(same workload and round size; SCAN's sorted rounds cut inter-request\n"
               " repositioning, sustaining more streams past the pessimistic ceiling)\n");
+  WriteTextArtifact(json, "scan", "_table_metrics.json", "table");
 }
 
 void BM_ScanRound(benchmark::State& state) {

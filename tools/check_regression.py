@@ -52,6 +52,10 @@ OVERRIDES = [
     # Simulated round times: a tighter band than default, these are the
     # headline perf numbers the planner work protects.
     ("BENCH_roundplan_metrics.json:roundplan.*_mean_round_usec", ("rel", 0.02)),
+    # The per-request round's EXPERIMENTS.md tables (FIFO vs SCAN glitches
+    # and disk busy time; stepped vs naive transition glitches): exact.
+    ("BENCH_scan_table_metrics.json:*", ("rel", 0.0)),
+    ("BENCH_admission_transition_table_metrics.json:*", ("rel", 0.0)),
     # Ratchets: sharing/scaling wins must not silently erode.
     ("BENCH_roundplan_metrics.json:shared_title.achieved_n", ("min_ratio", 1.0)),
     ("BENCH_cluster_metrics.json:cluster.scaling_4x_vs_1x", ("min_ratio", 0.9)),
