@@ -142,8 +142,7 @@ ScaleOutcome RunSweep(int64_t viewers) {
   config.disk = FutureDisk();
   config.retain_data = false;
   config.scheduler.service_order = ServiceOrder::kPlanned;
-  config.scheduler.bypass_admission = true;
-  config.scheduler.forced_k = 1;
+  config.scheduler.forced_k = 1;  // admit everyone at k = 1
   config.scheduler.batch_activation = true;
   config.scheduler.trace = &receipts;
   config.block_cache.capacity_bytes = 8 << 20;
@@ -283,8 +282,7 @@ ScaleOutcome RunWaves(int64_t viewers) {
   SchedulerOptions options;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.bypass_admission = true;
-  options.forced_k = 1;
+  options.forced_k = 1;  // admit everyone at k = 1
   options.batch_activation = true;
   options.block_cache = &cache;
   options.trace = &tee;

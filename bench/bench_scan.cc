@@ -82,8 +82,7 @@ Outcome RunStreams(ServiceOrder order, int n, int64_t forced_k) {
   AdmissionControl admission(storage, store.AverageScatteringSec());
   SchedulerOptions options;
   options.service_order = order;
-  options.bypass_admission = true;  // measure past the pessimistic ceiling
-  options.forced_k = forced_k;
+  options.forced_k = forced_k;  // admit everyone: measure past the pessimistic ceiling
   options.trace = &g_metrics_sink;
   disk.set_trace_sink(&g_metrics_sink);
   store.set_trace_sink(&g_metrics_sink);

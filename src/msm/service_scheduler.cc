@@ -7,6 +7,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "src/obs/span.h"
@@ -143,8 +144,10 @@ std::vector<RequestSpec> ServiceScheduler::SlotHolderSpecs() const {
   return specs;
 }
 
-obs::TraceEvent ServiceScheduler::TraceContext() const {
+obs::TraceEvent ServiceScheduler::TraceContext(obs::TraceEventKind kind, RequestId request) const {
   obs::TraceEvent event;
+  event.kind = kind;
+  event.request = request;
   event.time = simulator_->Now();
   event.round = rounds_;
   event.k = current_k_;
@@ -235,11 +238,10 @@ void ServiceScheduler::EmitSpan(obs::SpanStage stage, uint64_t span_id, uint64_t
   if (!span_.open || span_id == 0 || options_.trace == nullptr) {
     return;
   }
-  obs::TraceEvent event = TraceContext();
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kSpan, request);
   obs::StampSpan(&event, span_.trace_id, span_id, parent, stage);
   event.time = end;
   event.duration = duration;
-  event.request = request;
   event.member = member;
   event.span_seek = seek;
   event.blocks = blocks;
@@ -267,6 +269,31 @@ int64_t ServiceScheduler::CacheLookaheadBlocks() const {
   return std::max<int64_t>(4 * current_k_, 8);
 }
 
+BlockCache* ServiceScheduler::ActiveCache() const {
+  return options_.block_cache != nullptr && options_.block_cache->enabled() ? options_.block_cache
+                                                                            : nullptr;
+}
+
+template <typename Fn>
+void ServiceScheduler::ForEachWindowSector(const std::vector<RequestId>& ids, Fn&& fn) const {
+  const int64_t window = CacheLookaheadBlocks();
+  for (RequestId id : ids) {
+    const ActiveRequest& request = RequestAt(id);
+    if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
+      continue;
+    }
+    const auto& blocks = request.playback->blocks;
+    const int64_t limit =
+        std::min<int64_t>(request.next_block + window, static_cast<int64_t>(blocks.size()));
+    for (int64_t b = request.next_block; b < limit; ++b) {
+      const PrimaryEntry& entry = blocks[static_cast<size_t>(b)];
+      if (!entry.IsSilence()) {
+        fn(entry.sector);
+      }
+    }
+  }
+}
+
 double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
                                                int64_t from_block) const {
   const BlockCache* cache = options_.block_cache;
@@ -276,20 +303,7 @@ double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
   // transfers (or their freshly cached results) even where the cache is
   // still cold.
   std::set<int64_t> scheduled;
-  ForEachRequest([&scheduled, window](RequestId, const ActiveRequest& active) {
-    if (active.stats.completed || active.stats.paused || !active.playback.has_value()) {
-      return;
-    }
-    const auto& blocks = active.playback->blocks;
-    const int64_t limit =
-        std::min<int64_t>(active.next_block + window, static_cast<int64_t>(blocks.size()));
-    for (int64_t b = active.next_block; b < limit; ++b) {
-      const PrimaryEntry& entry = blocks[static_cast<size_t>(b)];
-      if (!entry.IsSilence()) {
-        scheduled.insert(entry.sector);
-      }
-    }
-  });
+  ForEachWindowSector(live_ids_, [&scheduled](int64_t sector) { scheduled.insert(sector); });
   int64_t data = 0;
   int64_t covered = 0;
   const int64_t limit =
@@ -307,45 +321,56 @@ double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
   return data > 0 ? static_cast<double>(covered) / static_cast<double>(data) : 0.0;
 }
 
-Result<RequestId> ServiceScheduler::Submit(ActiveRequest request, const RequestSpec& spec) {
-  // Admission: existing = every request still holding a slot (active,
-  // pending, or non-destructively paused); destructively paused requests
-  // released theirs and must not be charged.
-  Result<std::vector<int64_t>> schedule = std::vector<int64_t>{};
+Result<std::vector<int64_t>> ServiceScheduler::PlanJoin(RequestId id, const ActiveRequest& request,
+                                                        int64_t from_block, bool* cache_admit) {
+  // Existing = every request still holding a slot (active, pending, or
+  // non-destructively paused); destructively paused requests released
+  // theirs and must not be charged.
+  const RequestSpec spec =
+      request.playback.has_value() ? request.playback->spec : request.recording->Spec();
+  Result<std::vector<int64_t>> schedule =
+      admission_.PlanAdmission(SlotHolderSpecs(), spec, current_k_);
+  *cache_admit = false;
+  if (schedule.ok() || !request.playback.has_value() || !CacheAdmissionEnabled()) {
+    return schedule;
+  }
+  // Cache-aware second chance: the Eq. 17 test prices every block at a
+  // full disk transfer, but a viewer trailing an admitted stream of the
+  // same strand is served mostly from memory. Admit at the current k when
+  // the expected coverage clears the threshold; a later coverage collapse
+  // destructively pauses the stream (back to n_max).
+  const double coverage = ExpectedCacheCoverage(*request.playback, from_block);
+  if (coverage + 1e-9 < kCacheAdmissionMinHitRate) {
+    return schedule;
+  }
+  // Join at the rotation's round size (k transitions already planned
+  // count: before the first round current_k_ is still 0).
+  int64_t rotation_k = current_k_;
+  for (const PendingAdmission& pending : pending_) {
+    rotation_k = std::max(rotation_k, pending.k_schedule.back());
+  }
+  // Traced before the request's slot state changes, so the attached slot
+  // snapshot agrees with the replayed lifecycle.
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kCacheAdmit, id);
+  event.cache_hit_rate = coverage;
+  event.detail = "expected coverage " + std::to_string(coverage);
+  Emit(event);
+  *cache_admit = true;
+  return std::vector<int64_t>{rotation_k};
+}
+
+Result<RequestId> ServiceScheduler::Submit(ActiveRequest request) {
+  // Overload experiments (forced_k) take everyone at a fixed round size.
   bool cache_admit = false;
-  double coverage = 0.0;
-  if (options_.bypass_admission) {
-    // Overload experiments: take everyone at a fixed round size.
-    schedule->push_back(options_.forced_k > 0 ? options_.forced_k : current_k_);
-  } else {
-    schedule = admission_.PlanAdmission(SlotHolderSpecs(), spec, current_k_);
-    if (!schedule.ok()) {
-      // Cache-aware second chance: the Eq. 17 test prices every block at a
-      // full disk transfer, but a viewer trailing an admitted stream of the
-      // same strand is served mostly from memory. Admit at the current k
-      // when the expected coverage clears the threshold; a later coverage
-      // collapse destructively pauses the stream (back to n_max).
-      if (request.playback.has_value() && CacheAdmissionEnabled()) {
-        coverage = ExpectedCacheCoverage(*request.playback, 0);
-        if (coverage + 1e-9 >= kCacheAdmissionMinHitRate) {
-          cache_admit = true;
-          // Join at the rotation's round size (k transitions already
-          // planned count: before the first round current_k_ is still 0).
-          int64_t rotation_k = current_k_;
-          for (const PendingAdmission& pending : pending_) {
-            rotation_k = std::max(rotation_k, pending.k_schedule.back());
-          }
-          schedule = std::vector<int64_t>{rotation_k};
-        }
-      }
-      if (!cache_admit) {
-        obs::TraceEvent event = TraceContext();
-        event.kind = obs::TraceEventKind::kSubmitRejected;
-        event.detail = schedule.status().message();
-        Emit(event);
-        return schedule.status();
-      }
-    }
+  Result<std::vector<int64_t>> schedule = std::vector<int64_t>{options_.forced_k};
+  if (options_.forced_k <= 0) {
+    schedule = PlanJoin(next_id_, request, /*from_block=*/0, &cache_admit);
+  }
+  if (!schedule.ok()) {
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kSubmitRejected);
+    event.detail = schedule.status().message();
+    Emit(event);
+    return schedule.status();
   }
   const RequestId id = next_id_++;
   request.stats.id = id;
@@ -362,17 +387,6 @@ Result<RequestId> ServiceScheduler::Submit(ActiveRequest request, const RequestS
     request.stats.blocks_total = request.recording->total_blocks;
   }
 
-  if (cache_admit) {
-    // Emitted before the request joins the ledger, so the attached slot
-    // snapshot agrees with the replayed lifecycle.
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kCacheAdmit;
-    event.request = id;
-    event.cache_hit_rate = coverage;
-    event.detail = "expected coverage " + std::to_string(coverage);
-    Emit(event);
-  }
-
   PendingAdmission pending;
   pending.id = id;
   if (options_.stepped_transitions) {
@@ -385,9 +399,7 @@ Result<RequestId> ServiceScheduler::Submit(ActiveRequest request, const RequestS
   request.pending = true;
   InsertRequest(id, std::move(request));
   pending_.push_back(std::move(pending));
-  obs::TraceEvent event = TraceContext();
-  event.kind = obs::TraceEventKind::kSubmitAccepted;
-  event.request = id;
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kSubmitAccepted, id);
   event.target_k = pending_.back().k_schedule.back();
   Emit(event);
   ScheduleRound();
@@ -399,9 +411,8 @@ Result<RequestId> ServiceScheduler::SubmitPlayback(PlaybackRequest playback) {
     return Status(ErrorCode::kInvalidArgument, "empty playback request");
   }
   ActiveRequest request;
-  const RequestSpec spec = playback.spec;
   request.playback = std::move(playback);
-  return Submit(std::move(request), spec);
+  return Submit(std::move(request));
 }
 
 Result<RequestId> ServiceScheduler::SubmitRecording(RecordingRequest recording) {
@@ -409,10 +420,9 @@ Result<RequestId> ServiceScheduler::SubmitRecording(RecordingRequest recording) 
     return Status(ErrorCode::kInvalidArgument, "empty recording request");
   }
   ActiveRequest request;
-  const RequestSpec spec = recording.Spec();
   request.stats.is_recording = true;
   request.recording = std::move(recording);
-  return Submit(std::move(request), spec);
+  return Submit(std::move(request));
 }
 
 void ServiceScheduler::ScheduleRound() {
@@ -458,31 +468,35 @@ void ServiceScheduler::UnpinPreludePages(ActiveRequest* request) {
   request->pinned_extents.clear();
 }
 
+void ServiceScheduler::CloseDevices(ActiveRequest* request) {
+  UnpinPreludePages(request);
+  FoldConsumer(request->consumer.get(), &request->stats);
+  request->consumer.reset();
+  // A recording keeps what it captured; one that never wrote a block is
+  // aborted outright (destroying the writer returns any allocated extents),
+  // leaving no half-created strand behind.
+  if (request->writer != nullptr && request->stats.blocks_done > 0) {
+    Result<StrandId> finished = request->writer->Finish(
+        request->stats.blocks_done * request->recording->placement.granularity);
+    if (finished.ok()) {
+      request->stats.recorded_strand = *finished;
+    }
+  }
+  request->writer.reset();
+  if (request->producer != nullptr) {
+    request->stats.capture_overflows = request->producer->overflows();
+    request->producer.reset();
+  }
+}
+
 void ServiceScheduler::FinishRequest(ActiveRequest* request, SimTime now) {
   WithSlotUpdate(*request, [request, now] {
     request->stats.completed = true;
     request->stats.completion_time = now;
   });
-  UnpinPreludePages(request);
-  FoldConsumer(request->consumer.get(), &request->stats);
-  request->consumer.reset();
-  if (request->writer != nullptr) {
-    const int64_t units =
-        request->recording->total_blocks * request->recording->placement.granularity;
-    Result<StrandId> finished = request->writer->Finish(units);
-    if (finished.ok()) {
-      request->stats.recorded_strand = *finished;
-    }
-    request->writer.reset();
-  }
-  if (request->producer != nullptr) {
-    request->stats.capture_overflows = request->producer->overflows();
-    request->producer.reset();
-  }
-  obs::TraceEvent event = TraceContext();
-  event.kind = obs::TraceEventKind::kCompleted;
+  CloseDevices(request);
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kCompleted, request->stats.id);
   event.time = now;
-  event.request = request->stats.id;
   event.blocks = request->stats.blocks_done;
   Emit(event);
   NotifyLifecycle(request->stats.id, LifecycleListener::Lifecycle::kCompleted);
@@ -534,10 +548,8 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
                /*seek=*/0, sectors, sector);
     }
     if (options_.trace != nullptr) {
-      obs::TraceEvent event = TraceContext();
-      event.kind = obs::TraceEventKind::kBlockRetried;
+      obs::TraceEvent event = TraceContext(obs::TraceEventKind::kBlockRetried, request->stats.id);
       event.time = *now;
-      event.request = request->stats.id;
       event.sector = sector;
       event.blocks = sectors;
       event.duration = spent;
@@ -561,32 +573,42 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
   return false;
 }
 
-bool ServiceScheduler::ReadExtentWithRetry(ActiveRequest* request, Disk* device, int64_t sector,
-                                           int64_t sectors, SimTime* now) {
-  Status fail = Status::Ok();
-  const bool ok = TransferWithRetry(
+bool ServiceScheduler::ReadWithRetry(ActiveRequest* request, Disk* device, int64_t sector,
+                                     int64_t sectors, SimTime* now, Status* fail_status) {
+  return TransferWithRetry(
       request, device, [device, sector, sectors] { return device->Read(sector, sectors, nullptr); },
       [device, sector, sectors] { return device->PeekServiceTime(sector, sectors); }, sector,
-      sectors, now, &fail);
-  if (ok) {
-    return true;
-  }
-  // Give up on this block: degraded playback renders it as silence rather
-  // than stalling the stream (kBadSector is hopeless until relocated, and
-  // further transient retries are either exhausted or unaffordable).
+      sectors, now, fail_status);
+}
+
+void ServiceScheduler::RecordSkip(ActiveRequest* request, SimTime now, int64_t sector,
+                                  int64_t sectors, SimDuration budget, std::string_view detail) {
   ++request->stats.blocks_skipped;
-  if (options_.trace != nullptr) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kBlockSkipped;
-    event.time = *now;
-    event.request = request->stats.id;
-    event.sector = sector;
-    event.blocks = sectors;
-    event.round_budget = round_budget_;
-    event.detail = fail.message();
-    Emit(event);
+  if (options_.trace == nullptr) {
+    return;
   }
-  return false;
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kBlockSkipped, request->stats.id);
+  event.time = now;
+  event.sector = sector;
+  event.blocks = sectors;
+  event.round_budget = budget;
+  event.detail = detail;
+  Emit(event);
+}
+
+void ServiceScheduler::EmitServiced(const ActiveRequest& request, SimTime now, int64_t blocks,
+                                    SimDuration duration) const {
+  if (options_.trace == nullptr) {
+    return;
+  }
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kRequestServiced, request.stats.id);
+  event.time = now;
+  event.blocks = blocks;
+  event.duration = duration;
+  event.round_budget = round_budget_;
+  event.block_playback = request.playback.has_value() ? EffectiveBlockDuration(*request.playback)
+                                                      : RecordingBlockDuration(*request.recording);
+  Emit(event);
 }
 
 void ServiceScheduler::ReportPlaybackReady(ActiveRequest* request, SimTime ready_time) {
@@ -631,12 +653,18 @@ int64_t ServiceScheduler::ServicePlayback(ActiveRequest* request, SimTime* now) 
     }
     const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(request->next_block)];
     if (!entry.IsSilence()) {
-      if (ReadExtentWithRetry(request, &store_->disk(), entry.sector, entry.sector_count, now)) {
+      Status fail = Status::Ok();
+      if (ReadWithRetry(request, &store_->disk(), entry.sector, entry.sector_count, now, &fail)) {
         ++transferred;
+      } else {
+        // Give up on this block: degraded playback renders it as silence
+        // rather than stalling the stream (kBadSector is hopeless until
+        // relocated; further retries are exhausted or unaffordable). It
+        // falls through as a degraded frame: readiness is still reported
+        // so the consumer's clock keeps running, but no data moved and
+        // `transferred` does not count it.
+        RecordSkip(request, *now, entry.sector, entry.sector_count, round_budget_, fail.message());
       }
-      // A skipped block falls through as a degraded frame: readiness is
-      // still reported so the consumer's clock keeps running, but no data
-      // moved and `transferred` does not count it.
     }
     // Report readiness of this block (silence is "ready" for free).
     ReportPlaybackReady(request, *now);
@@ -690,19 +718,12 @@ int64_t ServiceScheduler::ServiceRecording(ActiveRequest* request, SimTime* now,
              fail.code() == ErrorCode::kBadSector);  // allocator failures are admission bugs
       // Give the block up as an unrecorded gap: a NULL index entry keeps
       // the strand's timeline intact, and the capture buffer is released
-      // so the device does not overflow on a dead disk.
+      // so the device does not overflow on a dead disk. The skip carries
+      // no extent (each attempt allocates afresh) and no peeked budget.
       Status silence = request->writer->AppendSilence();
       assert(silence.ok());
       (void)silence;
-      ++request->stats.blocks_skipped;
-      if (options_.trace != nullptr) {
-        obs::TraceEvent event = TraceContext();
-        event.kind = obs::TraceEventKind::kBlockSkipped;
-        event.time = *now;
-        event.request = request->stats.id;
-        event.detail = fail.message();
-        Emit(event);
-      }
+      RecordSkip(request, *now, /*sector=*/0, /*sectors=*/0, /*budget=*/0, fail.message());
     }
     request->producer->BlockWritten(*now);
     ++request->stats.blocks_done;
@@ -739,9 +760,7 @@ void ServiceScheduler::ComputeRoundBudget() {
 
 const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_start,
                                                                 bool count_cache_stats) {
-  BlockCache* cache = options_.block_cache != nullptr && options_.block_cache->enabled()
-                          ? options_.block_cache
-                          : nullptr;
+  BlockCache* cache = ActiveCache();
   // Reuse plan_inputs_ (and each element's candidate vector) across rounds:
   // with a steady rotation the resize is a no-op and nothing allocates.
   size_t used = 0;
@@ -806,7 +825,7 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
 }
 
 std::vector<RequestId> ServiceScheduler::CollapsedCacheAdmissions(
-    const std::vector<PlanInput>& inputs, const RoundPlan& plan) const {
+    const std::vector<PlanInput>& inputs, const RoundPlan& plan) {
   // Only cache-admitted streams can collapse; with no tenants in the
   // ledger the whole coverage audit is skipped (the 20k-stream hot path).
   if (slot_counts_.cache_tenants == 0) {
@@ -841,12 +860,13 @@ std::vector<RequestId> ServiceScheduler::CollapsedCacheAdmissions(
     }
     // The first rider of each distinct extent pays for the read; every
     // other rider of that extent gets it for free.
-    std::map<std::pair<int64_t, int64_t>, uint64_t> payer;
-    for (const PlannedBlock& block : plan.riders_of(transfer)) {
-      const auto key = std::make_pair(block.sector, block.sectors);
-      auto [it, fresh] = payer.emplace(key, block.request);
-      if (!fresh && it->second != block.request && cache_admitted(block.request)) {
-        ++demand[block.request].second;
+    GroupExtents(plan, transfer);
+    for (size_t g = 0; g < group_count_; ++g) {
+      const uint64_t payer = group_riders_[g].front()->request;
+      for (const PlannedBlock* block : group_riders_[g]) {
+        if (block->request != payer && cache_admitted(block->request)) {
+          ++demand[block->request].second;
+        }
       }
     }
   }
@@ -891,39 +911,40 @@ void ServiceScheduler::GroupExtents(const RoundPlan& plan, const PlannedTransfer
   }
 }
 
-int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
+int64_t ServiceScheduler::RunPlannedRound(SimTime* now) {
   const SimTime round_start = *now;
-  Disk& disk = store_->disk();
+  const std::vector<PlanInput>& inputs = PlanRound(round_start);
+  if (options_.disk_array != nullptr) {
+    DispatchWaves(now);
+  } else {
+    DispatchSpindle(now);
+  }
+  return AccountRound(inputs, round_start, *now);
+}
+
+const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
   DiskArray* array = options_.disk_array;
   const int members = array != nullptr ? array->members() : 1;
-  BlockCache* cache = options_.block_cache != nullptr && options_.block_cache->enabled()
-                          ? options_.block_cache
-                          : nullptr;
-  const DiskModel& model = store_->model();
+  BlockCache* cache = ActiveCache();
 
   // Build the transfer program, revoking cache-admitted streams whose
   // coverage collapsed before any disk time is spent on them. Each pass
   // pauses at least one stream, so the loop is bounded.
-  const std::vector<PlanInput>& inputs = BuildPlanInputs(round_start, /*count_cache_stats=*/true);
+  const std::vector<PlanInput>& inputs = BuildPlanInputs(now, /*count_cache_stats=*/true);
   for (;;) {
     head_scratch_.clear();
-    if (array != nullptr) {
-      for (int m = 0; m < members; ++m) {
-        head_scratch_.push_back(array->member(m).head_cylinder());
-      }
-    } else {
-      head_scratch_.push_back(disk.head_cylinder());
+    for (int m = 0; m < members; ++m) {
+      head_scratch_.push_back(array != nullptr ? array->member(m).head_cylinder()
+                                               : store_->disk().head_cylinder());
     }
-    BuildRoundPlanInto(model, head_scratch_, members, inputs, &round_plan_);
+    BuildRoundPlanInto(store_->model(), head_scratch_, members, inputs, &round_plan_);
     const std::vector<RequestId> collapsed = CollapsedCacheAdmissions(inputs, round_plan_);
     if (collapsed.empty()) {
       break;
     }
     for (RequestId id : collapsed) {
-      obs::TraceEvent event = TraceContext();
-      event.kind = obs::TraceEventKind::kCacheAdmitRevoked;
-      event.time = *now;
-      event.request = id;
+      obs::TraceEvent event = TraceContext(obs::TraceEventKind::kCacheAdmitRevoked, id);
+      event.time = now;
       event.cache_hit_rate = cache != nullptr ? cache->RecentHitRate() : 0.0;
       event.detail = "round coverage below admission threshold";
       Emit(event);
@@ -931,15 +952,14 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
       // stream may re-apply through Resume under plain admission.
       Pause(id, /*destructive=*/true);
     }
-    BuildPlanInputs(round_start, /*count_cache_stats=*/false);  // refills `inputs`
+    BuildPlanInputs(now, /*count_cache_stats=*/false);  // refills `inputs`
     ComputeRoundBudget();
   }
   const RoundPlan& plan = round_plan_;
 
   if (options_.trace != nullptr) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kRoundPlanned;
-    event.time = *now;
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kRoundPlanned);
+    event.time = now;
     event.blocks = plan.data_blocks;
     event.transfers = plan.read_transfers;
     event.coalesced_blocks = plan.coalesced_blocks;
@@ -966,7 +986,7 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
     // stage ledger.
     EmitSpan(obs::SpanStage::kCache,
              obs::ChildSpanId(span_.root, obs::SpanStage::kCache, span_.ordinal++), span_.root,
-             *now, /*duration=*/0, /*request=*/0, /*member=*/-1, /*seek=*/0, plan.cache_hits,
+             now, /*duration=*/0, /*request=*/0, /*member=*/-1, /*seek=*/0, plan.cache_hits,
              /*sector=*/0);
   }
 
@@ -974,28 +994,13 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   // the interval between a leading and a trailing viewer. Their cache
   // entries are biased to evict last — the next hit is scheduled.
   wanted_.clear();
-  const int64_t lookahead = CacheLookaheadBlocks();
   if (cache != nullptr) {
-    for (RequestId id : service_order_) {
-      const ActiveRequest& request = RequestAt(id);
-      if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
-        continue;
-      }
-      const auto& blocks = request.playback->blocks;
-      const int64_t limit =
-          std::min<int64_t>(request.next_block + lookahead, static_cast<int64_t>(blocks.size()));
-      for (int64_t b = request.next_block; b < limit; ++b) {
-        if (!blocks[static_cast<size_t>(b)].IsSilence()) {
-          ++wanted_[blocks[static_cast<size_t>(b)].sector];
-        }
-      }
-    }
+    ForEachWindowSector(service_order_, [this](int64_t sector) { ++wanted_[sector]; });
   }
 
-  // Per-candidate completion instants and fates, indexed by the planner's
-  // round-global slot numbering; per-request disk time attribution (shared
-  // transfers split evenly between their riders). All flat or lookup-only
-  // scratch reused across rounds.
+  // Dispatch fills per-candidate completion instants and fates (indexed by
+  // the planner's round-global slot numbering), the per-request disk time
+  // and the seek ledger; all reused across rounds.
   size_t total_candidates = 0;
   for (const PlanInput& input : inputs) {
     total_candidates += input.blocks.size();
@@ -1005,389 +1010,401 @@ int64_t ServiceScheduler::ExecutePlannedRound(SimTime* now) {
   outcome_known_.assign(total_candidates, 0);
   attributed_.clear();
   append_done_.clear();
-  int64_t ops = 0;
-  int64_t measured_seek = 0;
-  const int64_t full_stroke = std::max<int64_t>(model.params().cylinders - 1, 0);
+  dispatch_ops_ = 0;
+  dispatch_seek_cylinders_ = 0;
+  return inputs;
+}
 
-  using ExtentKey = std::pair<int64_t, int64_t>;
-  const auto record_extent = [&](const ExtentKey& extent,
-                                 const std::vector<const PlannedBlock*>& riders, SimTime completion,
-                                 bool ok) {
-    for (const PlannedBlock* block : riders) {
-      outcome_time_[static_cast<size_t>(block->slot)] = completion;
-      outcome_ok_[static_cast<size_t>(block->slot)] = ok ? 1 : 0;
-      outcome_known_[static_cast<size_t>(block->slot)] = 1;
-    }
-    if (!ok || cache == nullptr) {
-      return;
-    }
-    const auto want = wanted_.find(extent.first);
-    const bool biased = want != wanted_.end() && want->second >= 2;
-    cache->Insert(extent.first, extent.second, extent.second * disk.bytes_per_sector(), biased);
-    for (const PlannedBlock* block : riders) {
-      ActiveRequest& rider = RequestAt(block->request);
-      if (rider.playback.has_value() && rider.consumer == nullptr) {
-        // Prelude read-ahead: pinned so eviction cannot undo the startup
-        // guarantee before playback begins. Record the extent only when the
-        // pin actually landed (the insert can be dropped when everything
-        // resident is pinned); otherwise the eventual unpin would release a
-        // pin taken by a different request.
-        if (cache->Pin(extent.first, extent.second)) {
-          rider.pinned_extents.push_back(extent);
-        }
-      }
-    }
-  };
+int64_t ServiceScheduler::CountSeek(const Disk& device, int64_t sector) {
+  const int64_t distance =
+      std::abs(store_->model().SectorToCylinder(sector) - device.head_cylinder());
+  dispatch_seek_cylinders_ += distance;
+  ++dispatch_ops_;
+  return distance;
+}
 
-  // Reads one distinct extent with the shared retry policy, marking every
-  // rider's fate (all riders lose the block on give-up).
-  const auto read_extent = [&](Disk* device, const ExtentKey& extent,
-                               const std::vector<const PlannedBlock*>& riders) {
-    ActiveRequest& owner = RequestAt(riders.front()->request);
-    Status fail = Status::Ok();
-    const bool ok = TransferWithRetry(
-        &owner, device,
-        [device, extent] { return device->Read(extent.first, extent.second, nullptr); },
-        [device, extent] { return device->PeekServiceTime(extent.first, extent.second); },
-        extent.first, extent.second, now, &fail);
-    if (!ok) {
-      for (const PlannedBlock* block : riders) {
-        ActiveRequest& rider = RequestAt(block->request);
-        ++rider.stats.blocks_skipped;
-        if (options_.trace != nullptr) {
-          obs::TraceEvent event = TraceContext();
-          event.kind = obs::TraceEventKind::kBlockSkipped;
-          event.time = *now;
-          event.request = block->request;
-          event.sector = extent.first;
-          event.blocks = extent.second;
-          event.round_budget = round_budget_;
-          event.detail = fail.message();
-          Emit(event);
-        }
-      }
-    }
-    record_extent(extent, riders, *now, ok);
-  };
-
-  // A transfer whose whole device is gone: every rider loses its blocks
-  // directly, without burning a per-block attempt through the retry
-  // machinery (a dead device answers instantly and data never comes, so
-  // per-block attempts are pure fault-accounting noise).
-  const auto skip_transfer = [&](const PlannedTransfer& transfer, const char* why) {
-    GroupExtents(plan, transfer);
-    for (size_t g = 0; g < group_count_; ++g) {
-      const ExtentKey& extent = group_keys_[g];
-      const std::vector<const PlannedBlock*>& riders = group_riders_[g];
-      for (const PlannedBlock* block : riders) {
-        ActiveRequest& rider = RequestAt(block->request);
-        ++rider.stats.blocks_skipped;
-        if (options_.trace != nullptr) {
-          obs::TraceEvent event = TraceContext();
-          event.kind = obs::TraceEventKind::kBlockSkipped;
-          event.time = *now;
-          event.request = block->request;
-          event.sector = extent.first;
-          event.blocks = extent.second;
-          event.round_budget = round_budget_;
-          event.detail = why;
-          Emit(event);
-        }
-      }
-      record_extent(extent, riders, *now, false);
-    }
-  };
-
-  const auto attribute = [&](const PlannedTransfer& transfer, SimDuration spent) {
-    attribute_scratch_.clear();
-    for (const PlannedBlock& block : plan.riders_of(transfer)) {
-      if (std::find(attribute_scratch_.begin(), attribute_scratch_.end(), block.request) ==
-          attribute_scratch_.end()) {
-        attribute_scratch_.push_back(block.request);
-      }
-    }
-    for (uint64_t rider : attribute_scratch_) {
-      attributed_[rider] += spent / static_cast<SimDuration>(attribute_scratch_.size());
-    }
-  };
-
-  const auto run_append = [&](const PlannedTransfer& transfer) {
-    const SimTime start = *now;
-    ActiveRequest& request = RequestAt(transfer.append_request);
-    const uint64_t span_id =
-        OpenTransferSpan(obs::SpanStage::kAppend, transfer.append_request, /*member=*/-1);
-    append_done_[transfer.append_request] +=
-        ServiceRecording(&request, now, transfer.append_blocks);
-    attributed_[transfer.append_request] += *now - start;
-    if (*now > start) {
-      EmitSpan(obs::SpanStage::kAppend, span_id, span_.root, *now, *now - start,
-               transfer.append_request, /*member=*/-1, /*seek=*/0, transfer.append_blocks,
-               transfer.start_sector);
-    }
-  };
-
-  if (array == nullptr) {
-    // Single spindle: the plan order is the dispatch order (block-level
-    // C-SCAN with appends interleaved at their expected arm positions).
-    for (const PlannedTransfer& transfer : plan.transfers) {
-      if (transfer.is_append) {
-        run_append(transfer);
-        continue;
-      }
-      const SimTime start = *now;
-      const uint64_t owner = plan.riders_of(transfer).front().request;
-      const obs::SpanStage stage = TransferStageFor(RequestAt(owner));
-      const uint64_t span_id = OpenTransferSpan(stage, owner, /*member=*/-1);
-      measured_seek +=
-          std::abs(model.SectorToCylinder(transfer.start_sector) - disk.head_cylinder());
-      ++ops;
-      GroupExtents(plan, transfer);
-      if (group_count_ == 1) {
-        read_extent(&disk, group_keys_[0], group_riders_[0]);
-      } else {
-        // Coalesced transfer: one attempt for the merged extent; on a
-        // fault, de-coalesce so one bad sector does not burn the retry
-        // budget of its healthy neighbours.
-        Result<SimDuration> service = disk.Read(transfer.start_sector, transfer.sectors, nullptr);
-        if (service.ok()) {
-          ChargeTransfer(stage, &disk, *service);
-          *now += *service;
-          for (size_t g = 0; g < group_count_; ++g) {
-            record_extent(group_keys_[g], group_riders_[g], *now, true);
-          }
-        } else {
-          ChargeStage(obs::SpanStage::kRetry, disk.last_fault_service());
-          *now += disk.last_fault_service();
-          ++RequestAt(owner).stats.faults_seen;
-          for (size_t g = 0; g < group_count_; ++g) {
-            measured_seek +=
-                std::abs(model.SectorToCylinder(group_keys_[g].first) - disk.head_cylinder());
-            ++ops;
-            read_extent(&disk, group_keys_[g], group_riders_[g]);
-          }
-        }
-      }
-      attribute(transfer, *now - start);
-      EmitSpan(stage, span_id, span_.root, *now, *now - start, owner, /*member=*/-1,
-               span_.active_seek, static_cast<int64_t>(transfer.rider_count),
-               transfer.start_sector);
-    }
-  } else {
-    // Array-parallel dispatch: one wave per queue depth, each wave issuing
-    // at most one transfer per member; the wave completes at the slowest
-    // arm. Appends run after the waves on the primary spindle.
-    for (int m = 0; m < members; ++m) {
-      array->member(m).set_time_hint(now);
-    }
-    queue_scratch_.resize(static_cast<size_t>(members));
-    for (auto& queue : queue_scratch_) {
-      queue.clear();
-    }
-    append_scratch_.clear();
-    for (const PlannedTransfer& transfer : plan.transfers) {
-      if (transfer.is_append) {
-        append_scratch_.push_back(&transfer);
-      } else {
-        queue_scratch_[static_cast<size_t>(transfer.member)].push_back(&transfer);
-      }
-    }
-    uint64_t wave_index = 0;
-    for (;;) {
-      batch_scratch_.clear();
-      wave_scratch_.clear();
-      wave_dist_scratch_.clear();
-      std::vector<DiskArray::BatchRequest>& batch = batch_scratch_;
-      std::vector<const PlannedTransfer*>& wave = wave_scratch_;
-      std::vector<int64_t>& wave_dists = wave_dist_scratch_;  // dispatch seek distance per entry
-      for (int m = 0; m < members; ++m) {
-        auto& queue = queue_scratch_[static_cast<size_t>(m)];
-        if (queue.empty()) {
-          continue;
-        }
-        if (array->member(m).failed()) {
-          // The member already failed (this wave or an earlier round): the
-          // arm no longer moves, so dispatching its queue would only burn a
-          // per-block attempt against a device that answers instantly with
-          // nothing. Drain the queue as direct skips instead.
-          while (!queue.empty()) {
-            skip_transfer(*queue.front(), "member_failed");
-            queue.pop_front();
-          }
-          continue;
-        }
-        const PlannedTransfer* transfer = queue.front();
-        queue.pop_front();
-        const int64_t dist = std::abs(model.SectorToCylinder(transfer->start_sector) -
-                                      array->member(m).head_cylinder());
-        measured_seek += dist;
-        ++ops;
-        batch.push_back(DiskArray::BatchRequest{m, transfer->start_sector, transfer->sectors});
-        wave.push_back(transfer);
-        wave_dists.push_back(dist);
-      }
-      if (batch.empty()) {
-        break;
-      }
-      const SimTime wave_start = *now;
-      Result<DiskArray::BatchOutcome> outcome = array->ReadBatch(batch, nullptr);
-      assert(outcome.ok());  // the planner only builds well-formed batches
-      *now = wave_start + outcome->completion_time;
-
-      // Span bookkeeping happens after the wave, in batch order. The
-      // wave's ledger charge goes to its slowest arm (the wave completes
-      // when that arm does): its reposition is seek, the rest the
-      // dominant transfer's own stage.
-      const uint64_t wave_span =
-          span_.open ? obs::ChildSpanId(span_.root, obs::SpanStage::kWave, wave_index) : 0;
-      if (span_.open) {
-        size_t dominant = 0;
-        for (size_t i = 1; i < wave.size(); ++i) {
-          if (outcome->per_request[i].service > outcome->per_request[dominant].service) {
-            dominant = i;
-          }
-        }
-        const obs::SpanStage dominant_stage =
-            TransferStageFor(RequestAt(plan.riders_of(*wave[dominant]).front().request));
-        const SimDuration completion = outcome->completion_time;
-        const SimDuration seek = std::min(
-            completion, model.SeekTimeForDistance(wave_dists[dominant]));
-        ChargeStage(obs::SpanStage::kSeek, seek);
-        ChargeStage(dominant_stage, completion - seek);
-        EmitSpan(obs::SpanStage::kWave, wave_span, span_.root, *now, completion, /*request=*/0,
-                 static_cast<int64_t>(batch[dominant].member), seek,
-                 static_cast<int64_t>(batch.size()), static_cast<int64_t>(wave_index));
-      }
-      ++wave_index;
-
-      for (size_t i = 0; i < wave.size(); ++i) {
-        const PlannedTransfer& transfer = *wave[i];
-        const DiskArray::MemberOutcome& member_outcome = outcome->per_request[i];
-        attribute(transfer, member_outcome.service);
-        const uint64_t entry_owner = plan.riders_of(transfer).front().request;
-        const obs::SpanStage entry_stage = TransferStageFor(RequestAt(entry_owner));
-        uint64_t entry_span = 0;
-        if (span_.open) {
-          entry_span = obs::ChildSpanId(wave_span, entry_stage, i);
-          EmitSpan(entry_stage, entry_span, wave_span, wave_start + member_outcome.service,
-                   member_outcome.service, entry_owner, transfer.member,
-                   std::min(member_outcome.service, model.SeekTimeForDistance(wave_dists[i])),
-                   static_cast<int64_t>(transfer.rider_count), transfer.start_sector);
-        }
-        if (member_outcome.status.ok()) {
-          GroupExtents(plan, transfer);
-          for (size_t g = 0; g < group_count_; ++g) {
-            record_extent(group_keys_[g], group_riders_[g],
-                          wave_start + member_outcome.service, true);
-          }
-        } else {
-          // The faulted member's mechanical time is already inside the
-          // wave completion; de-coalesced retries run after the wave.
-          ++RequestAt(entry_owner).stats.faults_seen;
-          Disk& member_disk = array->member(transfer.member);
-          if (member_disk.failed()) {
-            // The whole member died mid-wave: one member failure, not one
-            // attempt per block. This transfer's riders are skipped here;
-            // the arm's remaining queue drains at the next wave boundary.
-            skip_transfer(transfer, "member_failed");
-          } else {
-            // The serial de-coalesced reads nest their charges (and any
-            // retry subspans) under this wave entry's span.
-            span_.active_parent = entry_span;
-            span_.active_stage = entry_stage;
-            span_.active_member = transfer.member;
-            span_.retry_ordinal = 0;
-            GroupExtents(plan, transfer);
-            for (size_t g = 0; g < group_count_; ++g) {
-              measured_seek += std::abs(model.SectorToCylinder(group_keys_[g].first) -
-                                        member_disk.head_cylinder());
-              ++ops;
-              read_extent(&member_disk, group_keys_[g], group_riders_[g]);
-            }
-          }
-        }
-      }
-    }
-    for (const PlannedTransfer* transfer : append_scratch_) {
-      run_append(*transfer);
-    }
-    for (int m = 0; m < members; ++m) {
-      array->member(m).set_time_hint(nullptr);
+void ServiceScheduler::Attribute(const PlannedTransfer& transfer, SimDuration spent) {
+  attribute_scratch_.clear();
+  for (const PlannedBlock& block : round_plan_.riders_of(transfer)) {
+    if (std::find(attribute_scratch_.begin(), attribute_scratch_.end(), block.request) ==
+        attribute_scratch_.end()) {
+      attribute_scratch_.push_back(block.request);
     }
   }
+  for (uint64_t rider : attribute_scratch_) {
+    attributed_[rider] += spent / static_cast<SimDuration>(attribute_scratch_.size());
+  }
+}
 
+void ServiceScheduler::RecordExtent(size_t g, SimTime completion, bool ok, std::string_view why) {
+  const auto [sector, sectors] = group_keys_[g];
+  for (const PlannedBlock* block : group_riders_[g]) {
+    const size_t slot = static_cast<size_t>(block->slot);
+    outcome_time_[slot] = completion;
+    outcome_ok_[slot] = ok ? 1 : 0;
+    outcome_known_[slot] = 1;
+    if (!ok) {
+      RecordSkip(&RequestAt(block->request), completion, sector, sectors, round_budget_, why);
+    }
+  }
+  BlockCache* cache = ActiveCache();
+  if (!ok || cache == nullptr) {
+    return;
+  }
+  const auto want = wanted_.find(sector);
+  const bool biased = want != wanted_.end() && want->second >= 2;
+  cache->Insert(sector, sectors, sectors * store_->disk().bytes_per_sector(), biased);
+  for (const PlannedBlock* block : group_riders_[g]) {
+    ActiveRequest& rider = RequestAt(block->request);
+    if (rider.playback.has_value() && rider.consumer == nullptr) {
+      // Prelude read-ahead: pinned so eviction cannot undo the startup
+      // guarantee before playback begins. Record the extent only when the
+      // pin actually landed (the insert can be dropped when everything
+      // resident is pinned); otherwise the eventual unpin would release a
+      // pin taken by a different request.
+      if (cache->Pin(sector, sectors)) {
+        rider.pinned_extents.emplace_back(sector, sectors);
+      }
+    }
+  }
+}
+
+void ServiceScheduler::ReadExtent(Disk* device, size_t g, SimTime* now) {
+  const auto [sector, sectors] = group_keys_[g];
+  Status fail = Status::Ok();
+  const bool ok = ReadWithRetry(&RequestAt(group_riders_[g].front()->request), device, sector,
+                                sectors, now, &fail);
+  RecordExtent(g, *now, ok, fail.message());
+}
+
+void ServiceScheduler::SkipTransfer(const PlannedTransfer& transfer, SimTime now) {
+  GroupExtents(round_plan_, transfer);
+  for (size_t g = 0; g < group_count_; ++g) {
+    RecordExtent(g, now, /*ok=*/false, "member_failed");
+  }
+}
+
+void ServiceScheduler::Decoalesce(Disk* device, const PlannedTransfer& transfer,
+                                  SimDuration spent, SimTime* now) {
+  ++RequestAt(round_plan_.riders_of(transfer).front().request).stats.faults_seen;
+  const SimTime start = *now;
+  GroupExtents(round_plan_, transfer);
+  for (size_t g = 0; g < group_count_; ++g) {
+    CountSeek(*device, group_keys_[g].first);
+    ReadExtent(device, g, now);
+  }
+  Attribute(transfer, spent + (*now - start));
+}
+
+void ServiceScheduler::RunAppend(const PlannedTransfer& transfer, SimTime* now) {
+  const SimTime start = *now;
+  ActiveRequest& request = RequestAt(transfer.append_request);
+  const uint64_t span_id =
+      OpenTransferSpan(obs::SpanStage::kAppend, transfer.append_request, /*member=*/-1);
+  append_done_[transfer.append_request] += ServiceRecording(&request, now, transfer.append_blocks);
+  attributed_[transfer.append_request] += *now - start;
+  if (*now > start) {
+    EmitSpan(obs::SpanStage::kAppend, span_id, span_.root, *now, *now - start,
+             transfer.append_request, /*member=*/-1, /*seek=*/0, transfer.append_blocks,
+             transfer.start_sector);
+  }
+}
+
+void ServiceScheduler::DispatchSpindle(SimTime* now) {
+  // The plan order is the dispatch order: block-level C-SCAN with appends
+  // interleaved at their expected arm positions.
+  Disk& disk = store_->disk();
+  const RoundPlan& plan = round_plan_;
+  for (const PlannedTransfer& transfer : plan.transfers) {
+    if (transfer.is_append) {
+      RunAppend(transfer, now);
+      continue;
+    }
+    const SimTime start = *now;
+    const uint64_t owner = plan.riders_of(transfer).front().request;
+    const obs::SpanStage stage = TransferStageFor(RequestAt(owner));
+    const uint64_t span_id = OpenTransferSpan(stage, owner, /*member=*/-1);
+    CountSeek(disk, transfer.start_sector);
+    GroupExtents(plan, transfer);
+    if (group_count_ == 1) {
+      ReadExtent(&disk, 0, now);
+      Attribute(transfer, *now - start);
+    } else {
+      // Coalesced transfer: one attempt for the merged extent; a fault
+      // de-coalesces it.
+      Result<SimDuration> service = disk.Read(transfer.start_sector, transfer.sectors, nullptr);
+      if (service.ok()) {
+        ChargeTransfer(stage, &disk, *service);
+        *now += *service;
+        for (size_t g = 0; g < group_count_; ++g) {
+          RecordExtent(g, *now, /*ok=*/true);
+        }
+        Attribute(transfer, *now - start);
+      } else {
+        ChargeStage(obs::SpanStage::kRetry, disk.last_fault_service());
+        *now += disk.last_fault_service();
+        Decoalesce(&disk, transfer, *now - start, now);
+      }
+    }
+    EmitSpan(stage, span_id, span_.root, *now, *now - start, owner, /*member=*/-1,
+             span_.active_seek, static_cast<int64_t>(transfer.rider_count),
+             transfer.start_sector);
+  }
+}
+
+void ServiceScheduler::DispatchWaves(SimTime* now) {
+  // One wave per queue depth, each wave issuing at most one transfer per
+  // member; the wave completes at the slowest arm. Appends run after the
+  // waves on the primary spindle.
+  DiskArray& array = *options_.disk_array;
+  const DiskModel& model = store_->model();
+  const RoundPlan& plan = round_plan_;
+  const int members = array.members();
+  for (int m = 0; m < members; ++m) {
+    array.member(m).set_time_hint(now);
+  }
+  queue_scratch_.resize(static_cast<size_t>(members));
+  for (auto& queue : queue_scratch_) {
+    queue.clear();
+  }
+  append_scratch_.clear();
+  for (const PlannedTransfer& transfer : plan.transfers) {
+    if (transfer.is_append) {
+      append_scratch_.push_back(&transfer);
+    } else {
+      queue_scratch_[static_cast<size_t>(transfer.member)].push_back(&transfer);
+    }
+  }
+  std::vector<DiskArray::BatchRequest>& batch = batch_scratch_;
+  std::vector<const PlannedTransfer*>& wave = wave_scratch_;
+  std::vector<int64_t>& wave_dists = wave_dist_scratch_;  // dispatch seek distance per entry
+  for (uint64_t wave_index = 0;; ++wave_index) {
+    batch.clear();
+    wave.clear();
+    wave_dists.clear();
+    for (int m = 0; m < members; ++m) {
+      auto& queue = queue_scratch_[static_cast<size_t>(m)];
+      if (queue.empty()) {
+        continue;
+      }
+      if (array.member(m).failed()) {
+        // The member already failed (this wave or an earlier round): the
+        // arm no longer moves, so dispatching its queue would only burn a
+        // per-block attempt against a device that answers instantly with
+        // nothing. Drain the queue as direct skips instead.
+        for (; !queue.empty(); queue.pop_front()) {
+          SkipTransfer(*queue.front(), *now);
+        }
+        continue;
+      }
+      const PlannedTransfer* transfer = queue.front();
+      queue.pop_front();
+      batch.push_back(DiskArray::BatchRequest{m, transfer->start_sector, transfer->sectors});
+      wave.push_back(transfer);
+      wave_dists.push_back(CountSeek(array.member(m), transfer->start_sector));
+    }
+    if (batch.empty()) {
+      break;
+    }
+    const SimTime wave_start = *now;
+    Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
+    assert(outcome.ok());  // the planner only builds well-formed batches
+    *now = wave_start + outcome->completion_time;
+
+    // Span bookkeeping happens after the wave, in batch order. The wave's
+    // ledger charge goes to its slowest arm (the wave completes when that
+    // arm does): its reposition is seek, the rest the dominant transfer's
+    // own stage.
+    const uint64_t wave_span =
+        span_.open ? obs::ChildSpanId(span_.root, obs::SpanStage::kWave, wave_index) : 0;
+    if (span_.open) {
+      size_t dominant = 0;
+      for (size_t i = 1; i < wave.size(); ++i) {
+        if (outcome->per_request[i].service > outcome->per_request[dominant].service) {
+          dominant = i;
+        }
+      }
+      const obs::SpanStage dominant_stage =
+          TransferStageFor(RequestAt(plan.riders_of(*wave[dominant]).front().request));
+      const SimDuration completion = outcome->completion_time;
+      const SimDuration seek =
+          std::min(completion, model.SeekTimeForDistance(wave_dists[dominant]));
+      ChargeStage(obs::SpanStage::kSeek, seek);
+      ChargeStage(dominant_stage, completion - seek);
+      EmitSpan(obs::SpanStage::kWave, wave_span, span_.root, *now, completion, /*request=*/0,
+               static_cast<int64_t>(batch[dominant].member), seek,
+               static_cast<int64_t>(batch.size()), static_cast<int64_t>(wave_index));
+    }
+
+    for (size_t i = 0; i < wave.size(); ++i) {
+      const PlannedTransfer& transfer = *wave[i];
+      const DiskArray::MemberOutcome& entry = outcome->per_request[i];
+      const uint64_t owner = plan.riders_of(transfer).front().request;
+      const obs::SpanStage stage = TransferStageFor(RequestAt(owner));
+      const uint64_t entry_span = span_.open ? obs::ChildSpanId(wave_span, stage, i) : 0;
+      EmitSpan(stage, entry_span, wave_span, wave_start + entry.service, entry.service, owner,
+               transfer.member, std::min(entry.service, model.SeekTimeForDistance(wave_dists[i])),
+               static_cast<int64_t>(transfer.rider_count), transfer.start_sector);
+      Disk& member = array.member(transfer.member);
+      if (entry.status.ok()) {
+        GroupExtents(plan, transfer);
+        for (size_t g = 0; g < group_count_; ++g) {
+          RecordExtent(g, wave_start + entry.service, /*ok=*/true);
+        }
+        Attribute(transfer, entry.service);
+      } else if (member.failed()) {
+        // The whole member died mid-wave: one member failure, not one
+        // attempt per block. This transfer's riders are skipped here; the
+        // arm's remaining queue drains at the next wave boundary.
+        ++RequestAt(owner).stats.faults_seen;
+        SkipTransfer(transfer, *now);
+        Attribute(transfer, entry.service);
+      } else {
+        // The faulted entry's mechanical time is already inside the wave
+        // completion; its de-coalesced re-reads run after the wave and nest
+        // their charges (and any retry subspans) under the entry's span.
+        span_.active_parent = entry_span;
+        span_.active_stage = stage;
+        span_.active_member = transfer.member;
+        span_.retry_ordinal = 0;
+        Decoalesce(&member, transfer, entry.service, now);
+      }
+    }
+  }
+  for (const PlannedTransfer* transfer : append_scratch_) {
+    RunAppend(*transfer, now);
+  }
+  for (int m = 0; m < members; ++m) {
+    array.member(m).set_time_hint(nullptr);
+  }
+}
+
+int64_t ServiceScheduler::AccountRound(const std::vector<PlanInput>& inputs, SimTime round_start,
+                                       SimTime now) {
   // Readiness in playback order: a request's blocks become ready at the
   // running maximum of their transfer completions (the consumer contract
   // requires non-decreasing instants), cache hits and silence at the
   // prefix reached so far.
   int64_t transferred_total = 0;
-  size_t slot_cursor = 0;  // walks the planner's candidate numbering in input order
+  size_t slot = 0;  // walks the planner's candidate numbering in input order
   for (const PlanInput& input : inputs) {
-    const size_t input_slot_base = slot_cursor;
-    slot_cursor += input.blocks.size();
-    ActiveRequest* found = FindRequest(input.request);
-    if (found == nullptr) {
+    const size_t first_slot = slot;
+    slot += input.blocks.size();
+    ActiveRequest* request = FindRequest(input.request);
+    if (request == nullptr || request->stats.completed || request->stats.paused) {
       continue;
     }
-    ActiveRequest& request = *found;
+    if (request->stats.start_time < 0) {
+      request->stats.start_time = round_start;
+    }
+    int64_t moved = 0;
+    if (request->recording.has_value()) {
+      moved = append_done_[input.request];
+    } else {
+      SimTime prefix = round_start;
+      for (size_t s = first_slot; s < slot; ++s) {
+        const PlanCandidate& candidate = input.blocks[s - first_slot];
+        if (candidate.cache_hit) {
+          ++moved;  // served from memory: counts as transferred, costs nothing
+        } else if (!candidate.silence) {
+          assert(outcome_known_[s]);
+          prefix = std::max(prefix, outcome_time_[s]);
+          moved += outcome_ok_[s];
+        }
+        ReportPlaybackReady(request, prefix);
+      }
+      if (request->next_block == static_cast<int64_t>(request->playback->blocks.size())) {
+        FinishRequest(request, now);
+      }
+    }
+    transferred_total += moved;
+    EmitServiced(*request, now, moved, attributed_[input.request]);
+  }
+
+  if (options_.trace != nullptr && dispatch_ops_ > 0) {
+    // The measured-vs-worst-case l_seek ledger: admission charged every
+    // operation a full-stroke reposition (the alpha of Eq. 12); the
+    // C-SCAN program paid the measured travel.
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kSeekAccounting);
+    event.time = now;
+    event.transfers = dispatch_ops_;
+    event.seek_cylinders = dispatch_seek_cylinders_;
+    event.seek_cylinders_worst =
+        dispatch_ops_ * std::max<int64_t>(store_->model().params().cylinders - 1, 0);
+    Emit(event);
+  }
+  return transferred_total;
+}
+
+int64_t ServiceScheduler::RunPerRequestRound(SimTime* now) {
+  // Section 6.2 SCAN option: service this round's requests in
+  // disk-position order, shrinking the inter-request repositioning cost.
+  std::vector<RequestId> round_order(service_order_.begin(), service_order_.end());
+  if (options_.service_order == ServiceOrder::kSeekScan) {
+    std::sort(round_order.begin(), round_order.end(), [this](RequestId a, RequestId b) {
+      return NextSector(RequestAt(a)) < NextSector(RequestAt(b));
+    });
+  }
+  int64_t transferred_total = 0;
+  for (RequestId id : round_order) {
+    ActiveRequest& request = RequestAt(id);
     if (request.stats.completed || request.stats.paused) {
       continue;
     }
     if (request.stats.start_time < 0) {
-      request.stats.start_time = round_start;
+      request.stats.start_time = *now;
     }
-    int64_t moved = 0;
-    SimDuration block_playback = 0;
-    if (request.recording.has_value()) {
-      block_playback = RecordingBlockDuration(*request.recording);
-      moved = append_done_[input.request];
-    } else {
-      block_playback = EffectiveBlockDuration(*request.playback);
-      SimTime prefix = round_start;
-      size_t slot = input_slot_base;
-      for (const PlanCandidate& candidate : input.blocks) {
-        if (!candidate.silence && !candidate.cache_hit) {
-          assert(outcome_known_[slot]);
-          prefix = std::max(prefix, outcome_time_[slot]);
-          if (outcome_ok_[slot] != 0) {
-            ++moved;
-          }
-        } else if (candidate.cache_hit) {
-          ++moved;  // served from memory: counts as transferred, costs nothing
-        }
-        ++slot;
-        ReportPlaybackReady(&request, prefix);
-      }
-      if (request.next_block == static_cast<int64_t>(request.playback->blocks.size())) {
-        FinishRequest(&request, *now);
-      }
+    const SimTime service_start = *now;
+    const obs::SpanStage stage =
+        request.playback.has_value() ? TransferStageFor(request) : obs::SpanStage::kAppend;
+    const uint64_t span_id = OpenTransferSpan(stage, id, /*member=*/-1);
+    const int64_t transferred = request.playback.has_value()
+                                    ? ServicePlayback(&request, now)
+                                    : ServiceRecording(&request, now, current_k_);
+    transferred_total += transferred;
+    if (*now > service_start) {
+      EmitSpan(stage, span_id, span_.root, *now, *now - service_start, id, /*member=*/-1,
+               span_.active_seek, transferred, /*sector=*/0);
     }
-    transferred_total += moved;
-    if (options_.trace != nullptr) {
-      obs::TraceEvent event = TraceContext();
-      event.kind = obs::TraceEventKind::kRequestServiced;
-      event.time = *now;
-      event.request = input.request;
-      event.blocks = moved;
-      event.duration = attributed_[input.request];
-      event.round_budget = round_budget_;
-      event.block_playback = block_playback;
-      Emit(event);
-    }
-  }
-
-  if (options_.trace != nullptr && ops > 0) {
-    // The measured-vs-worst-case l_seek ledger: admission charged every
-    // operation a full-stroke reposition (the alpha of Eq. 12); the
-    // C-SCAN program paid `measured_seek`.
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kSeekAccounting;
-    event.time = *now;
-    event.transfers = ops;
-    event.seek_cylinders = measured_seek;
-    event.seek_cylinders_worst = ops * full_stroke;
-    Emit(event);
+    EmitServiced(request, *now, transferred, *now - service_start);
   }
   return transferred_total;
+}
+
+void ServiceScheduler::ActivatePending() {
+  // Phase in at most one admission step per round. A queued admission's
+  // schedule was planned against the k of its submit instant; if earlier
+  // transitions have since raised k, the stale low steps are skipped — k
+  // only ever shrinks when a slot is released, never mid-ramp. The first
+  // unskipped step is then at most current_k_ + 1, preserving Eq. 18's
+  // one-step-per-round bound. With batch_activation the loop goes on
+  // draining admissions whose ramp is already satisfied (their single
+  // remaining step needs no k raise): only same-k activations batch, so a
+  // 20k-stream ramp-in joins in one round instead of 20k.
+  for (bool first = true; !pending_.empty() && (first || options_.batch_activation);
+       first = false) {
+    PendingAdmission& next = pending_.front();
+    assert(!next.k_schedule.empty());
+    while (next.k_schedule.size() > 1 && next.k_schedule.front() <= current_k_) {
+      next.k_schedule.pop_front();
+    }
+    if (!first && (next.k_schedule.front() > current_k_ || next.k_schedule.size() > 1)) {
+      break;  // needs a real Eq. 18 step: one per round, wait your turn
+    }
+    current_k_ = std::max(current_k_, next.k_schedule.front());
+    next.k_schedule.pop_front();
+    if (!next.k_schedule.empty()) {
+      continue;  // mid-ramp: the head keeps its place
+    }
+    const RequestId activated = next.id;
+    service_order_.push_back(activated);
+    pending_.pop_front();
+    WithSlotUpdate(RequestAt(activated), [this, activated] {
+      RequestAt(activated).pending = false;
+    });
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kActivated, activated);
+    Emit(event);
+  }
 }
 
 void ServiceScheduler::RunRound() {
@@ -1395,63 +1412,11 @@ void ServiceScheduler::RunRound() {
   ++rounds_;
   const SimTime round_start = simulator_->Now();
   SimTime now = round_start;
-
-  // Phase in at most one admission step per round. A queued admission's
-  // schedule was planned against the k of its submit instant; if earlier
-  // transitions have since raised k, the stale low steps are skipped — k
-  // only ever shrinks when a slot is released, never mid-ramp. The first
-  // unskipped step is then at most current_k_ + 1, preserving Eq. 18's
-  // one-step-per-round bound.
-  if (!pending_.empty()) {
-    PendingAdmission& front = pending_.front();
-    assert(!front.k_schedule.empty());
-    while (front.k_schedule.size() > 1 && front.k_schedule.front() <= current_k_) {
-      front.k_schedule.pop_front();
-    }
-    current_k_ = std::max(current_k_, front.k_schedule.front());
-    front.k_schedule.pop_front();
-    if (front.k_schedule.empty()) {
-      const RequestId activated = front.id;
-      service_order_.push_back(activated);
-      pending_.pop_front();
-      WithSlotUpdate(RequestAt(activated), [this, activated] {
-        RequestAt(activated).pending = false;
-      });
-      obs::TraceEvent event = TraceContext();
-      event.kind = obs::TraceEventKind::kActivated;
-      event.request = activated;
-      Emit(event);
-    }
-    // batch_activation: keep draining admissions whose ramp is already
-    // satisfied (their single remaining step needs no k raise). k itself
-    // still moved at most one step above — only same-k activations batch —
-    // so a 20k-stream ramp-in joins in one round instead of 20k.
-    while (options_.batch_activation && !pending_.empty()) {
-      PendingAdmission& next = pending_.front();
-      assert(!next.k_schedule.empty());
-      while (next.k_schedule.size() > 1 && next.k_schedule.front() <= current_k_) {
-        next.k_schedule.pop_front();
-      }
-      if (next.k_schedule.front() > current_k_ || next.k_schedule.size() > 1) {
-        break;  // needs a real Eq. 18 step: one per round, wait your turn
-      }
-      const RequestId activated = next.id;
-      service_order_.push_back(activated);
-      pending_.pop_front();
-      WithSlotUpdate(RequestAt(activated), [this, activated] {
-        RequestAt(activated).pending = false;
-      });
-      obs::TraceEvent event = TraceContext();
-      event.kind = obs::TraceEventKind::kActivated;
-      event.request = activated;
-      Emit(event);
-    }
-  }
+  ActivatePending();
   round_start_ = round_start;
   ComputeRoundBudget();
   if (options_.trace != nullptr) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kRoundStart;
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kRoundStart);
     event.round_budget = round_budget_;
     Emit(event);
   }
@@ -1465,54 +1430,9 @@ void ServiceScheduler::RunRound() {
   // simulated clock instead of the device busy clock (exporters place them
   // on the shared timeline).
   store_->disk().set_time_hint(&now);
-
-  int64_t transferred_total = 0;
-  if (options_.service_order == ServiceOrder::kPlanned) {
-    transferred_total = ExecutePlannedRound(&now);
-  } else {
-    // Section 6.2 SCAN option: service this round's requests in
-    // disk-position order, shrinking the inter-request repositioning cost.
-    std::vector<RequestId> round_order(service_order_.begin(), service_order_.end());
-    if (options_.service_order == ServiceOrder::kSeekScan) {
-      std::sort(round_order.begin(), round_order.end(), [this](RequestId a, RequestId b) {
-        return NextSector(RequestAt(a)) < NextSector(RequestAt(b));
-      });
-    }
-    for (RequestId id : round_order) {
-      ActiveRequest& request = RequestAt(id);
-      if (request.stats.completed || request.stats.paused) {
-        continue;
-      }
-      if (request.stats.start_time < 0) {
-        request.stats.start_time = now;
-      }
-      const SimTime service_start = now;
-      const obs::SpanStage stage =
-          request.playback.has_value() ? TransferStageFor(request) : obs::SpanStage::kAppend;
-      const uint64_t span_id = OpenTransferSpan(stage, id, /*member=*/-1);
-      const int64_t transferred = request.playback.has_value()
-                                      ? ServicePlayback(&request, &now)
-                                      : ServiceRecording(&request, &now, current_k_);
-      transferred_total += transferred;
-      if (now > service_start) {
-        EmitSpan(stage, span_id, span_.root, now, now - service_start, id, /*member=*/-1,
-                 span_.active_seek, transferred, /*sector=*/0);
-      }
-      if (options_.trace != nullptr) {
-        obs::TraceEvent event = TraceContext();
-        event.kind = obs::TraceEventKind::kRequestServiced;
-        event.time = now;
-        event.request = id;
-        event.blocks = transferred;
-        event.duration = now - service_start;
-        event.round_budget = round_budget_;
-        event.block_playback = request.playback.has_value()
-                                   ? EffectiveBlockDuration(*request.playback)
-                                   : RecordingBlockDuration(*request.recording);
-        Emit(event);
-      }
-    }
-  }
+  const int64_t transferred_total = options_.service_order == ServiceOrder::kPlanned
+                                        ? RunPlannedRound(&now)
+                                        : RunPerRequestRound(&now);
   store_->disk().set_time_hint(nullptr);
   if (span_.open) {
     // Close the round's root span. Every `now` advance above was charged
@@ -1524,7 +1444,7 @@ void ServiceScheduler::RunRound() {
     if (duration > charged) {
       span_.stages.queue += duration - charged;
     }
-    obs::TraceEvent event = TraceContext();
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kSpan);
     obs::StampSpan(&event, span_.trace_id, span_.root, /*parent_span=*/0,
                    obs::SpanStage::kRound);
     event.time = now;
@@ -1536,8 +1456,7 @@ void ServiceScheduler::RunRound() {
     span_.open = false;
   }
   if (options_.trace != nullptr) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kRoundEnd;
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kRoundEnd);
     event.time = now;
     event.duration = now - round_start;
     event.blocks = transferred_total;
@@ -1547,9 +1466,9 @@ void ServiceScheduler::RunRound() {
   simulator_->RunUntil(now);  // account the disk time this round consumed
 
   // Drop completed requests from the rotation, then retire their slots:
-  // stats move to finished_stats_, the slot returns to the free list, and
-  // the planner forgets their cached runs. Lazy (round-edge only) so that
-  // mid-round completions stay addressable until every rider settles.
+  // stats move to finished_stats_ and the slot returns to the free list.
+  // Lazy (round-edge only) so that mid-round completions stay addressable
+  // until every rider settles.
   std::erase_if(service_order_, [this](RequestId id) {
     return RequestAt(id).stats.completed;
   });
@@ -1604,27 +1523,7 @@ Status ServiceScheduler::Stop(RequestId id) {
   if (request.stats.completed) {
     return Status::Ok();
   }
-  // A stopped recording keeps what it captured so far; one that never wrote
-  // a block is aborted outright (destroying the writer returns any
-  // allocated extents), leaving no half-created strand behind.
-  if (request.writer != nullptr) {
-    if (request.stats.blocks_done > 0) {
-      const int64_t units =
-          request.stats.blocks_done * request.recording->placement.granularity;
-      Result<StrandId> finished = request.writer->Finish(units);
-      if (finished.ok()) {
-        request.stats.recorded_strand = *finished;
-      }
-    }
-    request.writer.reset();
-  }
-  if (request.producer != nullptr) {
-    request.stats.capture_overflows = request.producer->overflows();
-    request.producer.reset();
-  }
-  UnpinPreludePages(&request);
-  FoldConsumer(request.consumer.get(), &request.stats);
-  request.consumer.reset();
+  CloseDevices(&request);
   WithSlotUpdate(request, [this, &request] {
     request.stats.completed = true;
     request.stats.completion_time = simulator_->Now();
@@ -1632,9 +1531,7 @@ Status ServiceScheduler::Stop(RequestId id) {
   });
   std::erase(service_order_, id);
   std::erase_if(pending_, [id](const PendingAdmission& p) { return p.id == id; });
-  obs::TraceEvent event = TraceContext();
-  event.kind = obs::TraceEventKind::kStop;
-  event.request = id;
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kStop, id);
   event.blocks = request.stats.blocks_done;
   Emit(event);
   NotifyLifecycle(id, LifecycleListener::Lifecycle::kStopped);
@@ -1680,9 +1577,7 @@ Status ServiceScheduler::Pause(RequestId id, bool destructive) {
       }
     }
   }
-  obs::TraceEvent event = TraceContext();
-  event.kind = obs::TraceEventKind::kPause;
-  event.request = id;
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kPause, id);
   event.destructive = destructive;
   Emit(event);
   if (destructive) {
@@ -1705,9 +1600,7 @@ Status ServiceScheduler::Resume(RequestId id) {
   }
   if (!request.destructively_paused) {
     WithSlotUpdate(request, [&request] { request.stats.paused = false; });
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kResume;
-    event.request = id;
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kResume, id);
     Emit(event);
     NotifyLifecycle(id, LifecycleListener::Lifecycle::kResumed);
     ScheduleRound();
@@ -1716,43 +1609,16 @@ Status ServiceScheduler::Resume(RequestId id) {
   // Destructive pause released the slot: re-run admission control. The
   // resuming request holds no slot, so SlotHolderSpecs excludes it — it is
   // presented only once, as the candidate.
-  const RequestSpec spec = request.playback.has_value() ? request.playback->spec
-                                                        : request.recording->Spec();
-  Result<std::vector<int64_t>> schedule =
-      admission_.PlanAdmission(SlotHolderSpecs(), spec, current_k_);
   bool cache_admit = false;
-  double coverage = 0.0;
-  if (!schedule.ok() && request.playback.has_value() && CacheAdmissionEnabled()) {
-    coverage = ExpectedCacheCoverage(*request.playback, request.next_block);
-    if (coverage + 1e-9 >= kCacheAdmissionMinHitRate) {
-      cache_admit = true;
-      int64_t rotation_k = current_k_;
-      for (const PendingAdmission& waiting : pending_) {
-        rotation_k = std::max(rotation_k, waiting.k_schedule.back());
-      }
-      schedule = std::vector<int64_t>{rotation_k};
-    }
-  }
+  Result<std::vector<int64_t>> schedule = PlanJoin(id, request, request.next_block, &cache_admit);
   if (!schedule.ok()) {
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kResumeRejected;
-    event.request = id;
+    obs::TraceEvent event = TraceContext(obs::TraceEventKind::kResumeRejected, id);
     event.detail = schedule.status().message();
     Emit(event);
     return schedule.status();
   }
-  WithSlotUpdate(request, [&request, cache_admit] { request.stats.cache_admitted = cache_admit; });
-  if (cache_admit) {
-    // Emitted while still paused, so the attached slot snapshot agrees
-    // with the replayed lifecycle.
-    obs::TraceEvent event = TraceContext();
-    event.kind = obs::TraceEventKind::kCacheAdmit;
-    event.request = id;
-    event.cache_hit_rate = coverage;
-    event.detail = "expected coverage " + std::to_string(coverage);
-    Emit(event);
-  }
-  WithSlotUpdate(request, [&request] {
+  WithSlotUpdate(request, [&request, cache_admit] {
+    request.stats.cache_admitted = cache_admit;
     request.stats.paused = false;
     request.destructively_paused = false;
     request.pending = true;  // joins pending_ below
@@ -1761,9 +1627,7 @@ Status ServiceScheduler::Resume(RequestId id) {
   pending.id = id;
   pending.k_schedule.assign(schedule->begin(), schedule->end());
   pending_.push_back(std::move(pending));  // rejoin through the pending queue
-  obs::TraceEvent event = TraceContext();
-  event.kind = obs::TraceEventKind::kResume;
-  event.request = id;
+  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kResume, id);
   event.destructive = true;
   Emit(event);
   NotifyLifecycle(id, LifecycleListener::Lifecycle::kResumed);

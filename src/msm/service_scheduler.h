@@ -14,14 +14,18 @@
 // runs under the discrete-event simulator: each round is one event, and
 // all disk service times come from the disk model.
 //
-// ServiceOrder::kPlanned engages the round I/O planner
-// (src/msm/round_planner.h): the round's block needs are collected up
-// front, coalesced, deduplicated, C-SCAN-ordered per device, optionally
-// dispatched in parallel across a DiskArray, and probed against a shared
-// BlockCache before touching the platter. Admission stays planned against
-// the paper's worst-case alpha/beta; the planner only converts the
-// difference between that bound and the realized mechanism into slack
-// (plus, with cache-aware admission, into extra streams).
+// RunRound owns the round's edges and hands the round to one of two
+// executors. The per-request executor (kRoundRobin, kSeekScan) is the
+// paper's loop: each request in turn gets up to k blocks. The planned
+// executor (kPlanned) runs plan -> dispatch -> account: plan builds a
+// coalesced, deduplicated, C-SCAN program with the round I/O planner
+// (src/msm/round_planner.h) against a shared BlockCache; dispatch runs it
+// on one spindle or in parallel waves across a DiskArray; account reports
+// readiness in playback order. Both share one retry read, one skip record
+// and one kRequestServiced emitter. Admission stays planned against the
+// paper's worst-case alpha/beta; the planner only converts the difference
+// between that bound and the realized mechanism into slack (plus, with
+// cache-aware admission, into extra streams).
 
 #ifndef VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
 #define VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
@@ -31,6 +35,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -124,9 +129,8 @@ struct SchedulerOptions {
   // policy the paper warns about); if true, k steps by 1 per round.
   bool stepped_transitions = true;
   ServiceOrder service_order = ServiceOrder::kRoundRobin;
-  // Experiments only: admit every request regardless of the admission
-  // test, with a fixed round size (`forced_k`, or the current k if 0).
-  bool bypass_admission = false;
+  // Experiments only: when > 0, admit every request regardless of the
+  // admission test, at this fixed round size.
   int64_t forced_k = 0;
   // Shared block cache probed by kPlanned rounds (see src/msm/block_cache.h).
   // Must outlive the scheduler; null or capacity 0 disables caching. Wire
@@ -300,22 +304,39 @@ class ServiceScheduler {
     }
   }
 
-  Result<RequestId> Submit(ActiveRequest request, const RequestSpec& spec);
+  Result<RequestId> Submit(ActiveRequest request);
+  // Admission for a request joining the rotation as `id` (Submit and a
+  // destructive pause's Resume, whose window starts at `from_block`): the
+  // Eq. 17/18 schedule, or else the cache-aware second chance, which
+  // traces kCacheAdmit and sets `cache_admit`.
+  Result<std::vector<int64_t>> PlanJoin(RequestId id, const ActiveRequest& request,
+                                        int64_t from_block, bool* cache_admit);
   // The requests currently holding an admission slot: running, pending, or
   // non-destructively paused. Destructively paused requests gave theirs up.
   std::vector<RequestSpec> SlotHolderSpecs() const;
   // Slot ledger by lifecycle state, for trace events. O(1): the counters
   // are maintained at every state transition (WithSlotUpdate).
   obs::SlotSnapshot Snapshot() const { return slot_counts_; }
-  // Builds a trace event pre-filled with time/round/k/ledger context; the
-  // caller adds kind-specific fields and passes it to Emit.
-  obs::TraceEvent TraceContext() const;
+  // Builds a trace event of `kind` about `request`, pre-filled with
+  // time/round/k/ledger context; the caller adds kind-specific fields and
+  // passes it to Emit.
+  obs::TraceEvent TraceContext(obs::TraceEventKind kind, RequestId request = 0) const;
   void Emit(const obs::TraceEvent& event) const;
   void NotifyLifecycle(RequestId id, LifecycleListener::Lifecycle transition);
   void ScheduleRound();
+  // The round edges (activation, budget, round span and trace events,
+  // retirement, the next wake-up) around one of the two executors.
   void RunRound();
+  // At most one Eq. 18 k step per round, then (with batch_activation)
+  // every pending admission whose ramp k already covers.
+  void ActivatePending();
   // The running round's Eq. 11 envelope over the active rotation.
   void ComputeRoundBudget();
+  // The per-request executor: each request in turn gets up to k blocks in
+  // arrival order (next-sector order for kSeekScan), with buffer room and
+  // capture progress re-checked at the current instant. Returns blocks
+  // transferred.
+  int64_t RunPerRequestRound(SimTime* now);
   // First disk position the request will touch next (for kSeekScan).
   int64_t NextSector(const ActiveRequest& request) const;
   // Services one request within the round; advances `now` by the disk time
@@ -338,14 +359,24 @@ class ServiceScheduler {
                          const std::function<Result<SimDuration>()>& attempt,
                          const std::function<SimDuration()>& peek_retry, int64_t sector,
                          int64_t sectors, SimTime* now, Status* fail_status);
-  // Reads one extent with the shared retry policy; on give-up records the
-  // skip against `request` and traces it. Returns false when given up.
-  bool ReadExtentWithRetry(ActiveRequest* request, Disk* device, int64_t sector, int64_t sectors,
-                           SimTime* now);
+  // The one retry read of both executors: TransferWithRetry over one extent.
+  bool ReadWithRetry(ActiveRequest* request, Disk* device, int64_t sector, int64_t sectors,
+                     SimTime* now, Status* fail_status);
+  // The one skip record of both executors: counts a given-up block against
+  // `request` and traces kBlockSkipped. Reads carry their extent and the
+  // round budget; appends carry neither.
+  void RecordSkip(ActiveRequest* request, SimTime now, int64_t sector, int64_t sectors,
+                  SimDuration budget, std::string_view detail);
+  // The one kRequestServiced emitter of both executors.
+  void EmitServiced(const ActiveRequest& request, SimTime now, int64_t blocks,
+                    SimDuration duration) const;
   // Reports the next playback block ready at `ready_time`: runs the
   // anti-jitter prelude until read-ahead is met, then feeds the consumer;
   // advances next_block / blocks_done.
   void ReportPlaybackReady(ActiveRequest* request, SimTime ready_time);
+  // Unpins, folds and releases a leaving request's playback and capture
+  // devices (FinishRequest and Stop).
+  void CloseDevices(ActiveRequest* request);
   void FinishRequest(ActiveRequest* request, SimTime now);
   void UnpinPreludePages(ActiveRequest* request);
   // Creates the capture producer and strand writer on first service.
@@ -361,20 +392,56 @@ class ServiceScheduler {
   // Cache-admitted requests whose realized coverage (plan-time hits plus
   // shared-transfer rides) fell below the admission threshold.
   std::vector<RequestId> CollapsedCacheAdmissions(const std::vector<PlanInput>& inputs,
-                                                  const RoundPlan& plan) const;
+                                                  const RoundPlan& plan);
   // Expected fraction of the candidate's upcoming window (starting at
   // block `from_block`) served from memory (resident extents or another
   // active stream's scheduled reads).
   double ExpectedCacheCoverage(const PlaybackRequest& playback, int64_t from_block) const;
   bool CacheAdmissionEnabled() const;
+  // The shared block cache when present and enabled, else null.
+  BlockCache* ActiveCache() const;
   // Blocks of lookahead for cache coverage and eviction bias: max(4k, 8).
   int64_t CacheLookaheadBlocks() const;
-  // Executes one planned round: builds the program (revoking collapsed
-  // cache admissions), dispatches it (C-SCAN on one spindle, or parallel
-  // member waves through the DiskArray), reports readiness in playback
-  // order, and emits kRoundPlanned / kRequestServiced / kSeekAccounting.
-  // Returns the round's transferred total.
-  int64_t ExecutePlannedRound(SimTime* now);
+  // Calls fn(sector) for every data block in the lookahead window of each
+  // listed playback request that is neither completed nor paused.
+  template <typename Fn>
+  void ForEachWindowSector(const std::vector<RequestId>& ids, Fn&& fn) const;
+
+  // The planned executor (kPlanned): plan -> dispatch -> account. Returns
+  // the round's transferred total.
+  int64_t RunPlannedRound(SimTime* now);
+  // Plan: collects the inputs, builds the C-SCAN program into round_plan_
+  // (revoking collapsed cache admissions first), emits kRoundPlanned and
+  // the cache span, and resets the dispatch outputs below.
+  const std::vector<PlanInput>& PlanRound(SimTime now);
+  // Dispatch: runs round_plan_, filling the outcome arrays, attributed_,
+  // append_done_ and the seek ledger. One spindle follows the plan order;
+  // an array issues one parallel wave per queue depth, then the appends.
+  void DispatchSpindle(SimTime* now);
+  void DispatchWaves(SimTime* now);
+  // Account: reports readiness in playback order, emits kRequestServiced
+  // per request and the round's kSeekAccounting. Returns blocks moved.
+  int64_t AccountRound(const std::vector<PlanInput>& inputs, SimTime round_start, SimTime now);
+  // Dispatch steps; extent `g` indexes the current GroupExtents grouping.
+  // CountSeek books one operation and its arm travel in the seek ledger.
+  int64_t CountSeek(const Disk& device, int64_t sector);
+  // Splits `spent` evenly between the transfer's distinct requests.
+  void Attribute(const PlannedTransfer& transfer, SimDuration spent);
+  // Settles every rider of extent `g` at `completion`; a read fills the
+  // cache (pinning prelude pages), a give-up skips the block for each.
+  void RecordExtent(size_t g, SimTime completion, bool ok, std::string_view why = {});
+  // Reads extent `g` for its first rider with the shared retry read.
+  void ReadExtent(Disk* device, size_t g, SimTime* now);
+  // A transfer on a dead member: every rider loses its blocks directly,
+  // without a per-block attempt against a device that answers instantly.
+  void SkipTransfer(const PlannedTransfer& transfer, SimTime now);
+  // After a faulted transfer (a coalesced read or a wave entry): counts the
+  // fault against its owner, re-reads its distinct extents one by one so
+  // one bad sector does not burn its neighbours' retry budget, and charges
+  // the riders `spent` plus the re-read time.
+  void Decoalesce(Disk* device, const PlannedTransfer& transfer, SimDuration spent, SimTime* now);
+  // Services a planned append as its own transfer span.
+  void RunAppend(const PlannedTransfer& transfer, SimTime* now);
 
   // --- Causal span tracing (SchedulerOptions::emit_spans) -------------------
   // Per-round context: ids for the open round's span tree plus the stage
@@ -458,10 +525,14 @@ class ServiceScheduler {
   std::vector<uint8_t> outcome_ok_;
   std::vector<uint8_t> outcome_known_;
   // Lookup-only per-round maps (never iterated, so unordered is safe for
-  // determinism).
+  // determinism): per-request disk time and appended blocks, and how many
+  // active streams want each sector within the lookahead window.
   std::unordered_map<uint64_t, SimDuration> attributed_;
   std::unordered_map<uint64_t, int64_t> append_done_;
   std::unordered_map<int64_t, int> wanted_;
+  // Seek ledger of the round's dispatch (kSeekAccounting).
+  int64_t dispatch_ops_ = 0;
+  int64_t dispatch_seek_cylinders_ = 0;
   // Distinct-extent grouping scratch for one transfer (GroupExtents).
   std::vector<std::pair<int64_t, int64_t>> group_keys_;
   std::vector<std::vector<const PlannedBlock*>> group_riders_;

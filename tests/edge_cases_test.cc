@@ -65,8 +65,7 @@ TEST(CaptureOverflowTest, SlowDiskOverflowsSmallCaptureBuffers) {
   Simulator sim;
   AdmissionControl admission(TestStorage(), std::max(store.AverageScatteringSec(), 1e-4));
   SchedulerOptions options;
-  options.bypass_admission = true;  // force the overload
-  options.forced_k = 4;
+  options.forced_k = 4;  // admit everyone: force the overload
   ServiceScheduler scheduler(&store, &sim, admission, options);
 
   PlaybackRequest playback;

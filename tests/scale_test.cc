@@ -72,8 +72,7 @@ TEST(ScaleSmokeTest, FiveThousandStreamsRunCleanUnderStrictAudit) {
   options.trace = &tee;
   options.service_order = ServiceOrder::kPlanned;
   options.disk_array = &array;
-  options.bypass_admission = true;  // the hot path is under test, not Eq. 17
-  options.forced_k = 1;
+  options.forced_k = 1;  // admit everyone: the hot path is under test, not Eq. 17
   options.batch_activation = true;  // all 5k join the rotation in one round
   const double avg = std::max(store.AverageScatteringSec(), 1e-4);
   ServiceScheduler scheduler(&store, &sim, AdmissionControl(TestStorage(), avg), options);

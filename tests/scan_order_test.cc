@@ -329,7 +329,6 @@ class ScanOrderTest : public ::testing::Test {
     AdmissionControl admission(TestStorage(), std::max(store_.AverageScatteringSec(), 1e-4));
     SchedulerOptions options;
     options.service_order = order;
-    options.bypass_admission = bypass;
     options.forced_k = bypass ? 4 : 0;
     ServiceScheduler scheduler(&store_, &sim, admission, options);
     const SimDuration busy_before = disk_.busy_time();
@@ -394,7 +393,6 @@ class PlannedOrderTest : public ScanOrderTest {
     AdmissionControl admission(TestStorage(), std::max(store_.AverageScatteringSec(), 1e-4));
     SchedulerOptions options;
     options.service_order = order;
-    options.bypass_admission = bypass;
     options.forced_k = bypass ? 4 : 0;
     options.block_cache = cache;
     options.trace = &tee_;

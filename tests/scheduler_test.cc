@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -622,6 +623,177 @@ TEST_F(SchedulerTest, DeadArrayMemberFailsOnceNotPerBlock) {
   }
   EXPECT_LE(device_failed_events, 1);
   EXPECT_EQ(skips, stats->blocks_skipped);
+}
+
+TEST_F(SchedulerTest, FaultedArrayWaveChargesRetriesToTheRequest) {
+  // A faulted wave entry is re-read serially after its wave. Those re-reads
+  // are the request's disk time just like the entry's own service: with one
+  // stream (nothing shared to split), every round's kRequestServiced
+  // duration must equal the round's summed member reads and faults.
+  PlaybackRequest request = MakePlayback(5.0, 78);
+  DiskArray array(TestDiskParameters(), 2);
+  for (int m = 0; m < 2; ++m) {
+    array.member(m).set_trace_sink(&tee_);
+    array.member(m).fault_injector().set_read_fault_rate(0.25);
+  }
+  SchedulerOptions options = Traced();
+  options.service_order = ServiceOrder::kPlanned;
+  options.disk_array = &array;
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  ASSERT_TRUE(scheduler.SubmitPlayback(std::move(request)).ok());
+  scheduler.RunUntilIdle();
+
+  SimDuration disk_time = 0;
+  bool faulted = false;
+  int64_t rounds = 0;
+  int64_t faulted_rounds = 0;
+  for (const obs::TraceEvent& event : log_.events()) {
+    if (event.kind == obs::TraceEventKind::kRoundStart) {
+      disk_time = 0;
+      faulted = false;
+    } else if (event.kind == obs::TraceEventKind::kDiskRead ||
+               event.kind == obs::TraceEventKind::kDiskFault) {
+      disk_time += event.duration;
+      faulted = faulted || event.kind == obs::TraceEventKind::kDiskFault;
+    } else if (event.kind == obs::TraceEventKind::kRequestServiced) {
+      EXPECT_EQ(event.duration, disk_time) << "round " << event.round;
+      ++rounds;
+      faulted_rounds += faulted ? 1 : 0;
+    }
+  }
+  EXPECT_GT(faulted_rounds, 0);
+  EXPECT_GT(rounds, faulted_rounds);
+  EXPECT_GT(scheduler.stats(1)->blocks_retried, 0);
+}
+
+TEST_F(SchedulerTest, BatchActivationStillStepsKOncePerRound) {
+  // With batch activation the admission loop still takes at most one
+  // Eq. 18 step per round: a pending head that needs several steps climbs
+  // them one round at a time, and the admissions queued behind it, whose
+  // ramp the head's climb covers, join in the head's final round.
+  std::vector<PlaybackRequest> strands;
+  for (int i = 0; i < 14; ++i) {
+    strands.push_back(MakePlayback(8.0, 241 + i));
+  }
+  AdmissionControl admission = MakeAdmission();
+  const RequestSpec spec = strands.front().spec;
+  const auto k_for = [&admission, &spec](int64_t n) {
+    return *admission.TransientSafeBlocksPerRound(std::vector<RequestSpec>(n, spec));
+  };
+  // The smallest rotation (of at least 3) whose next admission needs >= 2
+  // k steps; it runs on distinct strands, like the fleet admission plans for.
+  const int64_t n_max = admission.Analyze({spec}).n_max;
+  int64_t running = 3;
+  while (running < n_max && k_for(running + 1) - k_for(running) < 2) {
+    ++running;
+  }
+  ASSERT_LT(running, n_max) << "no two-step admission below the ceiling";
+  ASSERT_LE(running + 3, static_cast<int64_t>(strands.size()));
+
+  SchedulerOptions options = Traced();
+  options.batch_activation = true;
+  ServiceScheduler scheduler(&store_, &sim_, admission, options);
+  std::vector<RequestId> ids;
+  for (int64_t i = 0; i < running; ++i) {
+    Result<RequestId> id = scheduler.SubmitPlayback(strands[static_cast<size_t>(i)]);
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  int guard = 0;
+  while (scheduler.active_request_count() < running) {
+    ASSERT_LT(++guard, 1000) << "the rotation never filled";
+    sim_.RunUntil(sim_.Now() + 10'000);
+  }
+  ASSERT_EQ(scheduler.current_k(), k_for(running));
+
+  // The head needs >= 2 steps. Two stops then free room for followers: the
+  // first fits the current k, the second needs exactly the head's ramp.
+  Result<RequestId> head = scheduler.SubmitPlayback(strands[static_cast<size_t>(running)]);
+  ASSERT_TRUE(head.ok());
+  ASSERT_TRUE(scheduler.Stop(ids[0]).ok());
+  ASSERT_TRUE(scheduler.Stop(ids[1]).ok());
+  std::vector<RequestId> followers;
+  for (int64_t i = 1; i <= 2; ++i) {
+    Result<RequestId> id = scheduler.SubmitPlayback(strands[static_cast<size_t>(running + i)]);
+    ASSERT_TRUE(id.ok());
+    followers.push_back(*id);
+  }
+  scheduler.RunUntilIdle();
+
+  int64_t previous_k = -1;
+  int64_t steps = 0;
+  int64_t head_round = -1;
+  std::vector<int64_t> follower_rounds;
+  for (const obs::TraceEvent& event : log_.events()) {
+    if (event.kind == obs::TraceEventKind::kRoundStart) {
+      if (previous_k >= 0) {
+        EXPECT_LE(event.k, previous_k + 1) << "round " << event.round;
+        steps += event.k > previous_k ? 1 : 0;
+      }
+      previous_k = event.k;
+    } else if (event.kind == obs::TraceEventKind::kActivated && event.request == *head) {
+      head_round = event.round;
+    } else if (event.kind == obs::TraceEventKind::kActivated &&
+               std::find(followers.begin(), followers.end(), event.request) != followers.end()) {
+      follower_rounds.push_back(event.round);
+    }
+  }
+  EXPECT_EQ(previous_k, k_for(running + 1));
+  EXPECT_GE(steps, 2);
+  ASSERT_GE(head_round, 0);
+  ASSERT_EQ(follower_rounds.size(), 2u);
+  for (int64_t round : follower_rounds) {
+    EXPECT_EQ(round, head_round);
+  }
+}
+
+TEST_F(SchedulerTest, DestructivelyPausedRiderResumesAsCacheTenant) {
+  // Resume shares Submit's cache second chance: a lockstep rider that gave
+  // its slot up finds the table refilled, fails the Eq. 17 test, and comes
+  // back as a cache tenant riding its leader's reads. The strict auditor
+  // replays the slot ledger across the whole lifecycle.
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 1 << 22});
+  SchedulerOptions options = Traced();
+  options.service_order = ServiceOrder::kPlanned;
+  options.block_cache = &cache;
+  options.cache_aware_admission = true;
+  PlaybackRequest shared = MakePlayback(4.0, 601);
+  PlaybackRequest refill = MakePlayback(4.0, 602);
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+
+  // Leader and rider hold regular slots; distinct-strand fillers then take
+  // the table to the Eq. 17 ceiling.
+  Result<RequestId> leader = scheduler.SubmitPlayback(shared);
+  ASSERT_TRUE(leader.ok());
+  Result<RequestId> rider = scheduler.SubmitPlayback(shared);
+  ASSERT_TRUE(rider.ok());
+  ASSERT_FALSE(scheduler.stats(*rider)->cache_admitted);
+  int fillers = 0;
+  while (scheduler.SubmitPlayback(MakePlayback(4.0, 610 + fillers)).ok()) {
+    ASSERT_LT(++fillers, 64) << "never reached the admission ceiling";
+  }
+  sim_.RunUntil(SecondsToUsec(0.5));
+
+  // The rider gives its slot up, a newcomer takes it, and the rider's
+  // Resume can only come back on the leader's coverage.
+  ASSERT_TRUE(scheduler.Pause(*rider, /*destructive=*/true).ok());
+  Result<RequestId> newcomer = scheduler.SubmitPlayback(std::move(refill));
+  ASSERT_TRUE(newcomer.ok()) << newcomer.status().message();
+  ASSERT_FALSE(scheduler.stats(*newcomer)->cache_admitted);
+  const size_t resume_from = log_.events().size();
+  Status resumed = scheduler.Resume(*rider);
+  ASSERT_TRUE(resumed.ok()) << resumed.message();
+  EXPECT_TRUE(scheduler.stats(*rider)->cache_admitted);
+  std::vector<obs::TraceEventKind> rider_events;
+  for (size_t i = resume_from; i < log_.events().size(); ++i) {
+    if (log_.events()[i].request == *rider) {
+      rider_events.push_back(log_.events()[i].kind);
+    }
+  }
+  EXPECT_EQ(rider_events, (std::vector<obs::TraceEventKind>{obs::TraceEventKind::kCacheAdmit,
+                                                             obs::TraceEventKind::kResume}));
+  scheduler.RunUntilIdle();
+  EXPECT_GT(scheduler.stats(*rider)->blocks_done, 0);
 }
 
 TEST_F(SchedulerTest, EmptyRequestsRejected) {
