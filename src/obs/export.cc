@@ -35,8 +35,23 @@ constexpr int kSchedulerPid = 1;
 constexpr int kDiskPid = 2;
 constexpr int kPersistencePid = 3;
 constexpr int kSpanPid = 4;
+constexpr int kClusterPid = 5;
 constexpr int kRoundsTid = 0;
 constexpr int kDeviceTid = 1;
+constexpr int kCoordinatorTid = 0;
+
+bool IsClusterEvent(const TraceEvent& event) {
+  switch (event.kind) {
+    case TraceEventKind::kNodeDown:
+    case TraceEventKind::kNodeUp:
+    case TraceEventKind::kFailover:
+    case TraceEventKind::kReReplicate:
+    case TraceEventKind::kShedLoad:
+      return true;
+    default:
+      return false;
+  }
+}
 
 // Span slices group per storage node: node -1 (single-node) on tid 1.
 int64_t SpanTid(const TraceEvent& event) { return event.node + 2; }
@@ -141,15 +156,22 @@ std::string PerfettoExporter::Export() const {
   const bool has_spans = std::any_of(events_->begin(), events_->end(), [](const TraceEvent& event) {
     return event.kind == TraceEventKind::kSpan || event.kind == TraceEventKind::kCriticalPath;
   });
+  const bool has_cluster = std::any_of(events_->begin(), events_->end(), IsClusterEvent);
   name_process(kSchedulerPid, "vafs scheduler");
   name_process(kDiskPid, "vafs disk");
   name_process(kPersistencePid, "vafs persistence");
   if (has_spans) {
     name_process(kSpanPid, "vafs spans");
   }
+  if (has_cluster) {
+    name_process(kClusterPid, "vafs cluster");
+  }
   name_thread(kSchedulerPid, kRoundsTid, "service rounds");
   name_thread(kDiskPid, kDeviceTid, "transfers");
   name_thread(kPersistencePid, kDeviceTid, "checkpoint/journal/fsck");
+  if (has_cluster) {
+    name_thread(kClusterPid, kCoordinatorTid, "coordinator");
+  }
   std::set<uint64_t> requests;
   std::set<int64_t> span_nodes;
   for (const TraceEvent& event : *events_) {
@@ -297,6 +319,41 @@ void WriteBodyEvent(EventWriter& writer, const TraceEvent& event) {
           writer.Begin("i", kPersistencePid, kDeviceTid, kind, event.time).Field("s", "t");
       if (event.sector != 0) {
         open.Arg("sector", event.sector);
+      }
+      if (!event.detail.empty()) {
+        open.Arg("detail", event.detail);
+      }
+      open.End();
+      break;
+    }
+    case TraceEventKind::kSessionBatched:
+    case TraceEventKind::kSessionPatched:
+    case TraceEventKind::kSessionMerged: {
+      // On the patch stream's track; a batched rider has no stream of its
+      // own and shows on its leader's.
+      const uint64_t track = event.request != 0 ? event.request : event.leader;
+      writer.Begin("i", kSchedulerPid, static_cast<int64_t>(track), kind, event.time)
+          .Field("s", "t")
+          .Arg("session", static_cast<int64_t>(event.session))
+          .Arg("leader", static_cast<int64_t>(event.leader))
+          .Arg("gap_blocks", event.gap_blocks)
+          .Arg("runway_blocks", event.runway_blocks)
+          .End();
+      break;
+    }
+    case TraceEventKind::kNodeDown:
+    case TraceEventKind::kNodeUp:
+    case TraceEventKind::kFailover:
+    case TraceEventKind::kReReplicate:
+    case TraceEventKind::kShedLoad: {
+      EventWriter& open = writer.Begin("i", kClusterPid, kCoordinatorTid, kind, event.time)
+                              .Field("s", "t")
+                              .Arg("node", event.node);
+      if (event.kind == TraceEventKind::kFailover) {
+        open.Arg("interruption_usec", event.duration).Arg("bound_usec", event.round_budget);
+      }
+      if (event.blocks != 0) {
+        open.Arg("blocks", event.blocks);
       }
       if (!event.detail.empty()) {
         open.Arg("detail", event.detail);

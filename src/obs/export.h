@@ -6,9 +6,11 @@
 //
 //  - PerfettoExporter: Chrome trace-event JSON of a recorded TraceLog.
 //    Loadable in ui.perfetto.dev / chrome://tracing: one slice track per
-//    request (service windows plus lifecycle instants), a scheduler track
-//    of rounds (with their Eq. 11 budget and slack in args), and a disk
-//    track of individual transfers (sector, seek distance, faults).
+//    request (service windows, lifecycle and session instants), a
+//    scheduler track of rounds (with their Eq. 11 budget and slack in
+//    args), a disk track of individual transfers (sector, seek distance,
+//    faults) and, when the log has any, a cluster track of node and
+//    failover instants.
 //  - PrometheusExporter: text exposition (version 0.0.4) of a
 //    MetricsRegistry. Counters/gauges map directly; histograms map to
 //    native Prometheus histograms with power-of-two `le` edges. With a

@@ -38,16 +38,16 @@ TraceSeverity ClassifyTraceEvent(const TraceEvent& event) {
   }
 }
 
-FlightRecorder::FlightRecorder(FlightRecorderOptions options) : options_(options) {}
+FlightRecorder::FlightRecorder(FlightRecorderOptions options)
+    : options_(options),
+      rings_{Ring(options.ring_capacity, 1), Ring(options.ring_capacity, 1),
+             Ring(options.ring_capacity, 1)} {}
 
 void FlightRecorder::OnEvent(const TraceEvent& event) {
   const TraceSeverity severity = ClassifyTraceEvent(event);
-  Ring& ring = rings_[static_cast<size_t>(severity)];
-  if (options_.ring_capacity > 0 && ring.entries.size() >= options_.ring_capacity) {
-    ring.entries.pop_front();
-    ++ring.dropped;
-  }
-  ring.entries.push_back(Entry{events_seen_++, event});
+  Entry& entry = rings_[static_cast<size_t>(severity)].Push();
+  entry.sequence = events_seen_++;
+  entry.event = event;
   if (severity == TraceSeverity::kCritical) {
     TriggerDump(std::string(TraceEventKindName(event.kind)) +
                 (event.detail.empty() ? "" : ": " + event.detail));
@@ -75,17 +75,17 @@ std::string FlightRecorder::Dump() const {
   };
   std::vector<Tagged> merged;
   for (int s = 0; s < 3; ++s) {
-    for (const Entry& entry : rings_[s].entries) {
+    rings_[s].ForEach([&merged, s](const Entry& entry) {
       merged.push_back(Tagged{&entry, static_cast<TraceSeverity>(s)});
-    }
+    });
   }
   std::sort(merged.begin(), merged.end(), [](const Tagged& a, const Tagged& b) {
     return a.entry->sequence < b.entry->sequence;
   });
   std::string dump = "flight recorder: " + std::to_string(merged.size()) + " events retained";
   for (int s = 0; s < 3; ++s) {
-    if (rings_[s].dropped > 0) {
-      dump += ", " + std::to_string(rings_[s].dropped) + " " +
+    if (rings_[s].dropped() > 0) {
+      dump += ", " + std::to_string(rings_[s].dropped()) + " " +
               TraceSeverityName(static_cast<TraceSeverity>(s)) + " dropped";
     }
   }

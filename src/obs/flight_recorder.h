@@ -18,7 +18,6 @@
 #define VAFS_SRC_OBS_FLIGHT_RECORDER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <string>
 
@@ -67,7 +66,7 @@ class FlightRecorder : public TraceSink {
 
   int64_t events_seen() const { return events_seen_; }
   int64_t dropped(TraceSeverity severity) const {
-    return rings_[static_cast<size_t>(severity)].dropped;
+    return rings_[static_cast<size_t>(severity)].dropped();
   }
   int64_t triggers() const { return triggers_; }
   const std::string& last_dump_reason() const { return last_dump_reason_; }
@@ -78,13 +77,11 @@ class FlightRecorder : public TraceSink {
     int64_t sequence = 0;
     TraceEvent event;
   };
-  struct Ring {
-    std::deque<Entry> entries;
-    int64_t dropped = 0;
-  };
+  using Ring = EventRing<Entry>;
 
   FlightRecorderOptions options_;
   DumpHandler dump_handler_;
+  // One drop-oldest ring per severity, indexed by TraceSeverity.
   Ring rings_[3];
   int64_t events_seen_ = 0;
   int64_t triggers_ = 0;

@@ -37,7 +37,7 @@ void SloTracker::OnEvent(const TraceEvent& event) {
         state.slo.startup_latency = event.time - state.slo.submit_time;
       }
       round_services_.push_back(
-          RoundService{event.request, event.blocks, event.block_playback, event.time});
+          RoundService{&state, event.blocks, event.block_playback, event.time});
       break;
     }
     case TraceEventKind::kRoundEnd:
@@ -101,11 +101,7 @@ void SloTracker::AccountRound(const TraceEvent& round_end) {
   const SimDuration round_duration = round_end.duration;
   const int64_t round_index = round_end.round;
   for (const RoundService& service : round_services_) {
-    auto it = streams_.find(service.request);
-    if (it == streams_.end()) {
-      continue;
-    }
-    StreamState& state = it->second;
+    StreamState& state = *service.state;
     StreamSlo& slo = state.slo;
     const SimDuration budget = service.blocks * service.block_playback;
 
@@ -145,11 +141,11 @@ void SloTracker::AccountRound(const TraceEvent& round_end) {
         std::snprintf(buffer, sizeof(buffer),
                       "stream %llu breached continuity SLO at round %lld: "
                       "%.4f within budget, %.4f meeting %.0f%% slack (target %.4f)",
-                      static_cast<unsigned long long>(service.request),
+                      static_cast<unsigned long long>(slo.request),
                       static_cast<long long>(round_index), slo.WithinBudgetFraction(),
                       slo.MeetingSlackFraction(), options_.slack_target * 100.0,
                       options_.slo_target);
-        breach_handler_(service.request, buffer);
+        breach_handler_(slo.request, buffer);
       }
     }
   }
@@ -162,9 +158,16 @@ SloReport SloTracker::Report() const {
   report.sessions_batched = sessions_batched_;
   report.sessions_patched = sessions_patched_;
   report.sessions_merged = sessions_merged_;
-  report.streams.reserve(streams_.size());
+  std::vector<const StreamSlo*> by_id;
+  by_id.reserve(streams_.size());
   for (const auto& [id, state] : streams_) {
-    report.streams.push_back(state.slo);
+    by_id.push_back(&state.slo);
+  }
+  std::sort(by_id.begin(), by_id.end(),
+            [](const StreamSlo* a, const StreamSlo* b) { return a->request < b->request; });
+  report.streams.reserve(by_id.size());
+  for (const StreamSlo* slo : by_id) {
+    report.streams.push_back(*slo);
   }
   return report;
 }

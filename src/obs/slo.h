@@ -28,8 +28,8 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -131,6 +131,9 @@ class SloTracker : public TraceSink {
       std::function<void(uint64_t request, const std::string& description)>;
 
   explicit SloTracker(SloOptions options = SloOptions());
+  // A round's pending services point into this tracker's stream table.
+  SloTracker(const SloTracker&) = delete;
+  SloTracker& operator=(const SloTracker&) = delete;
 
   void OnEvent(const TraceEvent& event) override;
 
@@ -146,12 +149,6 @@ class SloTracker : public TraceSink {
   bool AllStreamsMeetSlo() const;
 
  private:
-  struct RoundService {
-    uint64_t request = 0;
-    int64_t blocks = 0;
-    SimDuration block_playback = 0;
-    SimTime completion = 0;
-  };
   struct StreamState {
     StreamSlo slo;
     bool breached = false;
@@ -160,12 +157,21 @@ class SloTracker : public TraceSink {
     SimTime last_completion = 0;
     SimDuration last_period = 0;
   };
+  struct RoundService {
+    StreamState* state = nullptr;  // resolved once, at kRequestServiced
+    int64_t blocks = 0;
+    SimDuration block_playback = 0;
+    SimTime completion = 0;
+  };
 
   void AccountRound(const TraceEvent& round_end);
 
   SloOptions options_;
   BreachHandler breach_handler_;
-  std::map<uint64_t, StreamState> streams_;
+  // Every stream ever submitted, by request id. Hash nodes keep each state at
+  // a stable address, so a round's services carry a pointer to it and only
+  // Report() pays for ordering by id.
+  std::unordered_map<uint64_t, StreamState> streams_;
   std::vector<RoundService> round_services_;
   int64_t sessions_batched_ = 0;
   int64_t sessions_patched_ = 0;

@@ -209,236 +209,217 @@ std::string TraceEventSummary(const TraceEvent& event) {
   return line;
 }
 
-void TraceLog::OnEvent(const TraceEvent& event) {
-  if (capacity_ > 0 && events_.size() >= capacity_) {
-    // Drop the oldest quarter in one go so a full log erases from the front
-    // O(1) amortized rather than per event.
-    const size_t drop = std::max<size_t>(1, capacity_ / 4);
-    events_.erase(events_.begin(), events_.begin() + static_cast<ptrdiff_t>(drop));
-    dropped_ += static_cast<int64_t>(drop);
-  }
-  events_.push_back(event);
-}
-
 void MetricsSink::OnEvent(const TraceEvent& event) {
-  MetricsRegistry& m = *registry_;
   switch (event.kind) {
     case TraceEventKind::kSubmitAccepted:
-      m.counter("scheduler.submits_accepted").Increment();
+      submits_accepted_->Increment();
       break;
     case TraceEventKind::kSubmitRejected:
-      m.counter("scheduler.submits_rejected").Increment();
+      submits_rejected_->Increment();
       break;
     case TraceEventKind::kActivated:
-      m.counter("scheduler.activations").Increment();
+      activations_->Increment();
       break;
     case TraceEventKind::kPause:
-      m.counter(event.destructive ? "scheduler.pauses_destructive"
-                                  : "scheduler.pauses_nondestructive")
-          .Increment();
+      (event.destructive ? pauses_destructive_ : pauses_nondestructive_)->Increment();
       break;
     case TraceEventKind::kResume:
-      m.counter("scheduler.resumes").Increment();
+      resumes_->Increment();
       break;
     case TraceEventKind::kResumeRejected:
-      m.counter("scheduler.resumes_rejected").Increment();
+      resumes_rejected_->Increment();
       break;
     case TraceEventKind::kStop:
-      m.counter("scheduler.stops").Increment();
+      stops_->Increment();
       break;
     case TraceEventKind::kCompleted:
-      m.counter("scheduler.completions").Increment();
+      completions_->Increment();
       break;
     case TraceEventKind::kAdmissionPlan:
-      m.counter("admission.plans_accepted").Increment();
-      m.histogram("admission.transition_steps")
-          .Record(static_cast<double>(event.target_k - event.k > 0 ? event.target_k - event.k : 0));
+      plans_accepted_->Increment();
+      transition_steps_->Record(
+          static_cast<double>(event.target_k - event.k > 0 ? event.target_k - event.k : 0));
       break;
     case TraceEventKind::kAdmissionReject:
-      m.counter("admission.rejections").Increment();
+      rejections_->Increment();
       break;
     case TraceEventKind::kRoundStart:
       break;
     case TraceEventKind::kRequestServiced:
-      m.counter("scheduler.blocks_serviced").Increment(event.blocks);
+      blocks_serviced_->Increment(event.blocks);
       if (event.duration > 0) {
-        m.histogram("scheduler.request_service_usec").Record(static_cast<double>(event.duration));
+        request_service_usec_->Record(static_cast<double>(event.duration));
       }
       break;
     case TraceEventKind::kRoundEnd:
-      m.counter("scheduler.rounds").Increment();
-      m.histogram("scheduler.round_duration_usec").Record(static_cast<double>(event.duration));
-      m.histogram("scheduler.round_blocks").Record(static_cast<double>(event.blocks));
-      m.gauge("scheduler.current_k").Set(static_cast<double>(event.k));
-      m.gauge("scheduler.slots_active").Set(static_cast<double>(event.slots.active));
-      m.gauge("scheduler.slots_pending").Set(static_cast<double>(event.slots.pending));
-      m.gauge("scheduler.slots_paused_nondestructive")
-          .Set(static_cast<double>(event.slots.paused_nondestructive));
-      m.gauge("scheduler.slots_paused_destructive")
-          .Set(static_cast<double>(event.slots.paused_destructive));
-      m.gauge("scheduler.slots_cache_tenants")
-          .Set(static_cast<double>(event.slots.cache_tenants));
-      m.gauge("scheduler.slots_held").Set(static_cast<double>(event.slots.Held()));
+      rounds_->Increment();
+      round_duration_usec_->Record(static_cast<double>(event.duration));
+      round_blocks_->Record(static_cast<double>(event.blocks));
+      current_k_->Set(static_cast<double>(event.k));
+      slots_active_->Set(static_cast<double>(event.slots.active));
+      slots_pending_->Set(static_cast<double>(event.slots.pending));
+      slots_paused_nondestructive_->Set(static_cast<double>(event.slots.paused_nondestructive));
+      slots_paused_destructive_->Set(static_cast<double>(event.slots.paused_destructive));
+      slots_cache_tenants_->Set(static_cast<double>(event.slots.cache_tenants));
+      slots_held_->Set(static_cast<double>(event.slots.Held()));
       break;
     case TraceEventKind::kBlockRetried:
-      m.counter("scheduler.block_retries").Increment();
-      m.histogram("scheduler.retry_service_usec").Record(static_cast<double>(event.duration));
+      block_retries_->Increment();
+      retry_service_usec_->Record(static_cast<double>(event.duration));
       break;
     case TraceEventKind::kBlockSkipped:
-      m.counter("scheduler.blocks_skipped").Increment();
+      blocks_skipped_->Increment();
       break;
     case TraceEventKind::kBlockRelocated:
-      m.counter("store.blocks_relocated").Increment(event.blocks);
+      blocks_relocated_->Increment(event.blocks);
       break;
     case TraceEventKind::kDiskRead:
-      m.counter("disk.reads").Increment();
-      m.counter("disk.sectors_read").Increment(event.blocks);
-      m.histogram("disk.read_service_usec").Record(static_cast<double>(event.duration));
-      m.histogram("disk.seek_cylinders").Record(static_cast<double>(event.seek_cylinders));
+      disk_reads_->Increment();
+      sectors_read_->Increment(event.blocks);
+      read_service_usec_->Record(static_cast<double>(event.duration));
+      seek_cylinders_->Record(static_cast<double>(event.seek_cylinders));
       break;
     case TraceEventKind::kDiskWrite:
-      m.counter("disk.writes").Increment();
-      m.counter("disk.sectors_written").Increment(event.blocks);
-      m.histogram("disk.write_service_usec").Record(static_cast<double>(event.duration));
-      m.histogram("disk.seek_cylinders").Record(static_cast<double>(event.seek_cylinders));
+      disk_writes_->Increment();
+      sectors_written_->Increment(event.blocks);
+      write_service_usec_->Record(static_cast<double>(event.duration));
+      seek_cylinders_->Record(static_cast<double>(event.seek_cylinders));
       break;
     case TraceEventKind::kDiskFault:
-      m.counter("disk.faults").Increment();
-      m.counter("disk.faults." + event.detail).Increment();
-      m.histogram("disk.fault_service_usec").Record(static_cast<double>(event.duration));
+      disk_faults_->Increment();
+      registry_->counter("disk.faults." + event.detail).Increment();
+      fault_service_usec_->Record(static_cast<double>(event.duration));
       break;
     case TraceEventKind::kDiskSalvage:
-      m.counter("disk.salvage_reads").Increment();
-      m.histogram("disk.salvage_service_usec").Record(static_cast<double>(event.duration));
+      salvage_reads_->Increment();
+      salvage_service_usec_->Record(static_cast<double>(event.duration));
       break;
     case TraceEventKind::kPowerCut:
-      m.counter("disk.power_cuts").Increment();
+      power_cuts_->Increment();
       ++power_cuts_pending_;
       break;
     case TraceEventKind::kStrandWrite:
-      m.counter("store.strand_blocks_written").Increment();
+      strand_blocks_written_->Increment();
       if (event.gap_sec >= 0.0) {
-        m.histogram("store.strand_gap_ms").Record(event.gap_sec * 1e3);
+        strand_gap_ms_->Record(event.gap_sec * 1e3);
       }
       break;
     case TraceEventKind::kRootFlip:
-      m.counter("persistence.root_flips").Increment();
-      m.gauge("persistence.generation").Set(static_cast<double>(event.round));
+      root_flips_->Increment();
+      generation_->Set(static_cast<double>(event.round));
       break;
     case TraceEventKind::kJournalAppend:
-      m.counter("persistence.journal_appends").Increment();
+      journal_appends_->Increment();
       break;
     case TraceEventKind::kJournalReplay:
-      m.counter("persistence.journal_replays").Increment();
+      journal_replays_->Increment();
       break;
     case TraceEventKind::kFsckFinding:
-      m.counter("fsck.findings").Increment();
-      m.counter("fsck.findings." + event.detail).Increment();
+      fsck_findings_->Increment();
+      registry_->counter("fsck.findings." + event.detail).Increment();
       break;
     case TraceEventKind::kRecovery:
-      m.counter("recovery.completions").Increment();
+      recoveries_->Increment();
       if (power_cuts_pending_ > 0) {
         // Every cut since the previous recovery is its own crash point; a
         // recovery that had to ride out two back-to-back cuts survived two.
-        m.counter("recovery.crash_points_survived").Increment(power_cuts_pending_);
+        crash_points_survived_->Increment(power_cuts_pending_);
         power_cuts_pending_ = 0;
       }
       break;
     case TraceEventKind::kRoundPlanned:
-      m.counter("plan.rounds").Increment();
-      m.counter("plan.read_transfers").Increment(event.transfers);
-      m.counter("plan.data_blocks").Increment(event.blocks);
-      m.counter("plan.coalesced_blocks").Increment(event.coalesced_blocks);
-      m.counter("plan.deduped_blocks").Increment(event.deduped_blocks);
-      m.histogram("plan.transfers_per_round").Record(static_cast<double>(event.transfers));
+      plan_rounds_->Increment();
+      read_transfers_->Increment(event.transfers);
+      data_blocks_->Increment(event.blocks);
+      coalesced_blocks_->Increment(event.coalesced_blocks);
+      deduped_blocks_->Increment(event.deduped_blocks);
+      transfers_per_round_->Record(static_cast<double>(event.transfers));
       if (event.cache_lookups > 0) {
-        m.counter("cache.lookups").Increment(event.cache_lookups);
-        m.counter("cache.hits").Increment(event.cache_hits);
+        cache_lookups_->Increment(event.cache_lookups);
+        cache_hits_->Increment(event.cache_hits);
       }
-      m.gauge("cache.resident_bytes").Set(static_cast<double>(event.cache_resident_bytes));
-      m.gauge("cache.pinned_entries").Set(static_cast<double>(event.cache_pinned_entries));
-      m.gauge("cache.evictions").Set(static_cast<double>(event.cache_evictions));
-      m.gauge("cache.hit_rate_recent").Set(event.cache_hit_rate);
-      m.gauge("page_pool.outstanding").Set(static_cast<double>(event.pool_outstanding));
-      m.gauge("page_pool.recycled").Set(static_cast<double>(event.pool_recycled));
+      cache_resident_bytes_->Set(static_cast<double>(event.cache_resident_bytes));
+      cache_pinned_entries_->Set(static_cast<double>(event.cache_pinned_entries));
+      cache_evictions_->Set(static_cast<double>(event.cache_evictions));
+      cache_hit_rate_recent_->Set(event.cache_hit_rate);
+      pool_outstanding_->Set(static_cast<double>(event.pool_outstanding));
+      pool_recycled_->Set(static_cast<double>(event.pool_recycled));
       break;
     case TraceEventKind::kSeekAccounting:
-      m.histogram("plan.seek_cylinders_measured").Record(static_cast<double>(event.seek_cylinders));
-      m.histogram("plan.seek_cylinders_worst").Record(static_cast<double>(event.seek_cylinders_worst));
+      seek_cylinders_measured_->Record(static_cast<double>(event.seek_cylinders));
+      seek_cylinders_worst_->Record(static_cast<double>(event.seek_cylinders_worst));
       if (event.seek_cylinders_worst > event.seek_cylinders) {
-        m.counter("plan.seek_cylinders_saved")
-            .Increment(event.seek_cylinders_worst - event.seek_cylinders);
+        seek_cylinders_saved_->Increment(event.seek_cylinders_worst - event.seek_cylinders);
       }
       break;
     case TraceEventKind::kCacheAdmit:
-      m.counter("admission.cache_admits").Increment();
+      cache_admits_->Increment();
       break;
     case TraceEventKind::kCacheAdmitRevoked:
-      m.counter("admission.cache_admit_revocations").Increment();
+      cache_admit_revocations_->Increment();
       break;
     case TraceEventKind::kCacheInvalidate:
-      m.counter("cache.invalidations").Increment();
-      m.counter("cache.invalidated_entries").Increment(event.blocks);
+      cache_invalidations_->Increment();
+      cache_invalidated_entries_->Increment(event.blocks);
       break;
     case TraceEventKind::kSessionBatched:
-      m.counter("sessions.batched").Increment();
+      sessions_batched_->Increment();
       break;
     case TraceEventKind::kSessionPatched:
-      m.counter("sessions.patched").Increment();
-      m.histogram("sessions.patch_gap_blocks").Record(static_cast<double>(event.gap_blocks));
+      sessions_patched_->Increment();
+      patch_gap_blocks_->Record(static_cast<double>(event.gap_blocks));
       break;
     case TraceEventKind::kSessionMerged:
-      m.counter("sessions.merged").Increment();
-      m.histogram("sessions.merge_runway_blocks")
-          .Record(static_cast<double>(event.runway_blocks));
+      sessions_merged_->Increment();
+      merge_runway_blocks_->Record(static_cast<double>(event.runway_blocks));
       break;
     case TraceEventKind::kNodeDown:
-      m.counter("cluster.nodes_down").Increment();
+      nodes_down_->Increment();
       break;
     case TraceEventKind::kNodeUp:
-      m.counter("cluster.nodes_up").Increment();
+      nodes_up_->Increment();
       break;
     case TraceEventKind::kFailover:
-      m.counter("cluster.failovers").Increment();
-      m.histogram("cluster.failover_interruption_usec")
-          .Record(static_cast<double>(event.duration));
+      failovers_->Increment();
+      failover_interruption_usec_->Record(static_cast<double>(event.duration));
       break;
     case TraceEventKind::kReReplicate:
-      m.counter("cluster.re_replications").Increment();
-      m.counter("cluster.repair_blocks").Increment(event.blocks);
+      re_replications_->Increment();
+      repair_blocks_->Increment(event.blocks);
       break;
     case TraceEventKind::kShedLoad:
-      m.counter("cluster.viewers_shed").Increment();
+      viewers_shed_->Increment();
       break;
     case TraceEventKind::kSpan:
       // Spans are structural (the analyzer consumes them); only the volume
       // is worth a counter here.
-      m.counter("spans.emitted").Increment();
+      spans_emitted_->Increment();
       break;
     case TraceEventKind::kCriticalPath:
-      m.counter("critical_path.rounds").Increment();
+      critical_path_rounds_->Increment();
       if (event.anomalous) {
-        m.counter("critical_path.anomalies").Increment();
+        critical_path_anomalies_->Increment();
       }
       if (event.span_stage >= 0) {
-        m.counter(std::string("critical_path.dominant.") +
-                  SpanStageName(static_cast<SpanStage>(event.span_stage)))
-            .Increment();
+        const size_t slot = std::min(static_cast<size_t>(event.span_stage), kSpanStageCount);
+        Counter*& dominant = dominant_[slot];
+        if (dominant == nullptr) {
+          dominant = &registry_->counter(std::string("critical_path.dominant.") +
+                                         SpanStageName(static_cast<SpanStage>(event.span_stage)));
+        }
+        dominant->Increment();
       }
-      m.histogram("critical_path.queue_usec").Record(static_cast<double>(event.stages.queue));
-      m.histogram("critical_path.seek_usec").Record(static_cast<double>(event.stages.seek));
-      m.histogram("critical_path.transfer_usec")
-          .Record(static_cast<double>(event.stages.transfer));
+      queue_usec_->Record(static_cast<double>(event.stages.queue));
+      seek_usec_->Record(static_cast<double>(event.stages.seek));
+      transfer_usec_->Record(static_cast<double>(event.stages.transfer));
       if (event.stages.retry > 0) {
-        m.histogram("critical_path.retry_usec").Record(static_cast<double>(event.stages.retry));
+        retry_usec_->Record(static_cast<double>(event.stages.retry));
       }
       if (event.stages.merge_patch > 0) {
-        m.histogram("critical_path.merge_patch_usec")
-            .Record(static_cast<double>(event.stages.merge_patch));
+        merge_patch_usec_->Record(static_cast<double>(event.stages.merge_patch));
       }
       if (event.stages.append > 0) {
-        m.histogram("critical_path.append_usec")
-            .Record(static_cast<double>(event.stages.append));
+        append_usec_->Record(static_cast<double>(event.stages.append));
       }
       break;
   }

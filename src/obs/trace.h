@@ -11,8 +11,12 @@
 #ifndef VAFS_SRC_OBS_TRACE_H_
 #define VAFS_SRC_OBS_TRACE_H_
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -100,6 +104,7 @@ enum class SpanStage {
 };
 
 const char* SpanStageName(SpanStage stage);
+inline constexpr size_t kSpanStageCount = static_cast<size_t>(SpanStage::kSession) + 1;
 
 // Per-round service-time attribution (usec). The stages partition the
 // round: Total() equals the round's kRoundEnd duration within the
@@ -215,29 +220,94 @@ class TraceSink {
   virtual void OnEvent(const TraceEvent& event) = 0;
 };
 
-// Records the event stream for later replay (the round-trace log). A
-// capacity of 0 keeps everything; otherwise the log holds the most recent
-// `capacity` events, dropping the oldest (counted in dropped()) so a
-// long-lived simulation cannot grow it without bound.
-class TraceLog : public TraceSink {
+// Bounded ring that overwrites its oldest entries in place, so keeping an
+// entry costs one copy into a reused slot. A capacity of 0 keeps
+// everything. Storage grows on demand up to `capacity`; once the ring is
+// full, the next Push first drops the oldest `drop_step` entries (1 <=
+// drop_step <= capacity) in one step, counted in dropped().
+template <typename T>
+class EventRing {
  public:
-  explicit TraceLog(size_t capacity = 0) : capacity_(capacity) {}
+  EventRing(size_t capacity, size_t drop_step) : capacity_(capacity), drop_step_(drop_step) {}
 
-  void OnEvent(const TraceEvent& event) override;
-  const std::vector<TraceEvent>& events() const { return events_; }
+  // Makes room for one more entry and returns its slot. A reused slot still
+  // holds a dropped entry: the caller overwrites every field.
+  T& Push() {
+    if (capacity_ > 0 && size_ == capacity_) {
+      head_ = Wrap(head_ + drop_step_);
+      size_ -= drop_step_;
+      dropped_ += static_cast<int64_t>(drop_step_);
+    }
+    ++size_;
+    if (slots_.size() < capacity_ || capacity_ == 0) {
+      return slots_.emplace_back();  // still growing: head_ == 0, no gaps
+    }
+    return slots_[Wrap(head_ + size_ - 1)];
+  }
+
   size_t capacity() const { return capacity_; }
-  // Events discarded so far to honour the capacity (the trace.events_dropped
-  // counter exported by telemetry snapshots).
   int64_t dropped() const { return dropped_; }
+
+  // Visits the retained entries oldest first.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    for (size_t i = 0; i < size_; ++i) {
+      fn(slots_[capacity_ > 0 ? Wrap(head_ + i) : i]);
+    }
+  }
+
+  // Rotates the retained entries to the front of the storage, oldest first,
+  // and returns them. Free unless entries were dropped since the last call.
+  const std::vector<T>& Linearize() {
+    if (head_ != 0 || size_ != slots_.size()) {
+      std::rotate(slots_.begin(), slots_.begin() + static_cast<ptrdiff_t>(head_), slots_.end());
+      slots_.erase(slots_.begin() + static_cast<ptrdiff_t>(size_), slots_.end());
+      head_ = 0;
+    }
+    return slots_;
+  }
+
   void Clear() {
-    events_.clear();
+    slots_.clear();
+    head_ = 0;
+    size_ = 0;
     dropped_ = 0;
   }
 
  private:
+  // Folds an index below 2 * capacity_ back into the ring.
+  size_t Wrap(size_t index) const { return index < capacity_ ? index : index - capacity_; }
+
   size_t capacity_;
+  size_t drop_step_;
+  std::vector<T> slots_;
+  size_t head_ = 0;  // slot of the oldest retained entry
+  size_t size_ = 0;  // retained entries
   int64_t dropped_ = 0;
-  std::vector<TraceEvent> events_;
+};
+
+// Records the event stream for later replay (the round-trace log). A
+// capacity of 0 keeps everything; otherwise the log holds the most recent
+// `capacity` events. A full log drops its oldest quarter in one step
+// (counted in dropped()) so a long-lived simulation cannot grow it without
+// bound; the digests pinned over retained events depend on that step.
+class TraceLog : public TraceSink {
+ public:
+  explicit TraceLog(size_t capacity = 0) : ring_(capacity, std::max<size_t>(1, capacity / 4)) {}
+
+  void OnEvent(const TraceEvent& event) override { ring_.Push() = event; }
+  // The retained events, oldest first. Reading reorders the ring in place,
+  // so it must not race another read or a write (cluster nodes' logs are
+  // read after the epoch barrier).
+  const std::vector<TraceEvent>& events() const { return ring_.Linearize(); }
+  size_t capacity() const { return ring_.capacity(); }
+  // Events discarded so far to honour the capacity (the trace.events_dropped
+  // counter exported by telemetry snapshots).
+  int64_t dropped() const { return ring_.dropped(); }
+  void Clear() { ring_.Clear(); }
+
+ private:
+  mutable EventRing<TraceEvent> ring_;
 };
 
 // Buffers events for later ordered replay into another sink. This is the
@@ -291,11 +361,142 @@ class MetricsSink : public TraceSink {
   void OnEvent(const TraceEvent& event) override;
 
  private:
+  // One fixed-name instrument, resolved to its registry handle by the first
+  // event that touches it: the registry still holds only the instruments
+  // some event has reached, and later events skip the by-name lookup.
+  template <typename Instrument>
+  class Lazy {
+   public:
+    Lazy(MetricsRegistry* registry, const char* name) : registry_(registry), name_(name) {}
+    Instrument* operator->() {
+      if (instrument_ == nullptr) {
+        if constexpr (std::is_same_v<Instrument, Counter>) {
+          instrument_ = &registry_->counter(name_);
+        } else if constexpr (std::is_same_v<Instrument, Gauge>) {
+          instrument_ = &registry_->gauge(name_);
+        } else {
+          instrument_ = &registry_->histogram(name_);
+        }
+      }
+      return instrument_;
+    }
+
+   private:
+    MetricsRegistry* registry_;
+    const char* name_;
+    Instrument* instrument_ = nullptr;
+  };
+  using LazyCounter = Lazy<Counter>;
+  using LazyGauge = Lazy<Gauge>;
+  using LazyHistogram = Lazy<Histogram>;
+
   MetricsRegistry* registry_;
   // Power cuts seen since the last kRecovery. Each is a distinct crash
   // point; the recovery that finally lands credits them all, so
   // back-to-back cuts before one recovery are not collapsed into one.
   int64_t power_cuts_pending_ = 0;
+
+  // Request lifecycle and admission.
+  LazyCounter submits_accepted_{registry_, "scheduler.submits_accepted"};
+  LazyCounter submits_rejected_{registry_, "scheduler.submits_rejected"};
+  LazyCounter activations_{registry_, "scheduler.activations"};
+  LazyCounter pauses_destructive_{registry_, "scheduler.pauses_destructive"};
+  LazyCounter pauses_nondestructive_{registry_, "scheduler.pauses_nondestructive"};
+  LazyCounter resumes_{registry_, "scheduler.resumes"};
+  LazyCounter resumes_rejected_{registry_, "scheduler.resumes_rejected"};
+  LazyCounter stops_{registry_, "scheduler.stops"};
+  LazyCounter completions_{registry_, "scheduler.completions"};
+  LazyCounter plans_accepted_{registry_, "admission.plans_accepted"};
+  LazyHistogram transition_steps_{registry_, "admission.transition_steps"};
+  LazyCounter rejections_{registry_, "admission.rejections"};
+  LazyCounter cache_admits_{registry_, "admission.cache_admits"};
+  LazyCounter cache_admit_revocations_{registry_, "admission.cache_admit_revocations"};
+  // Rounds and fault handling.
+  LazyCounter blocks_serviced_{registry_, "scheduler.blocks_serviced"};
+  LazyHistogram request_service_usec_{registry_, "scheduler.request_service_usec"};
+  LazyCounter rounds_{registry_, "scheduler.rounds"};
+  LazyHistogram round_duration_usec_{registry_, "scheduler.round_duration_usec"};
+  LazyHistogram round_blocks_{registry_, "scheduler.round_blocks"};
+  LazyGauge current_k_{registry_, "scheduler.current_k"};
+  LazyGauge slots_active_{registry_, "scheduler.slots_active"};
+  LazyGauge slots_pending_{registry_, "scheduler.slots_pending"};
+  LazyGauge slots_paused_nondestructive_{registry_, "scheduler.slots_paused_nondestructive"};
+  LazyGauge slots_paused_destructive_{registry_, "scheduler.slots_paused_destructive"};
+  LazyGauge slots_cache_tenants_{registry_, "scheduler.slots_cache_tenants"};
+  LazyGauge slots_held_{registry_, "scheduler.slots_held"};
+  LazyCounter block_retries_{registry_, "scheduler.block_retries"};
+  LazyHistogram retry_service_usec_{registry_, "scheduler.retry_service_usec"};
+  LazyCounter blocks_skipped_{registry_, "scheduler.blocks_skipped"};
+  LazyCounter blocks_relocated_{registry_, "store.blocks_relocated"};
+  // Device and strand placement.
+  LazyCounter disk_reads_{registry_, "disk.reads"};
+  LazyCounter sectors_read_{registry_, "disk.sectors_read"};
+  LazyHistogram read_service_usec_{registry_, "disk.read_service_usec"};
+  LazyCounter disk_writes_{registry_, "disk.writes"};
+  LazyCounter sectors_written_{registry_, "disk.sectors_written"};
+  LazyHistogram write_service_usec_{registry_, "disk.write_service_usec"};
+  LazyHistogram seek_cylinders_{registry_, "disk.seek_cylinders"};
+  LazyCounter disk_faults_{registry_, "disk.faults"};
+  LazyHistogram fault_service_usec_{registry_, "disk.fault_service_usec"};
+  LazyCounter salvage_reads_{registry_, "disk.salvage_reads"};
+  LazyHistogram salvage_service_usec_{registry_, "disk.salvage_service_usec"};
+  LazyCounter power_cuts_{registry_, "disk.power_cuts"};
+  LazyCounter strand_blocks_written_{registry_, "store.strand_blocks_written"};
+  LazyHistogram strand_gap_ms_{registry_, "store.strand_gap_ms"};
+  // Crash consistency.
+  LazyCounter root_flips_{registry_, "persistence.root_flips"};
+  LazyGauge generation_{registry_, "persistence.generation"};
+  LazyCounter journal_appends_{registry_, "persistence.journal_appends"};
+  LazyCounter journal_replays_{registry_, "persistence.journal_replays"};
+  LazyCounter fsck_findings_{registry_, "fsck.findings"};
+  LazyCounter recoveries_{registry_, "recovery.completions"};
+  LazyCounter crash_points_survived_{registry_, "recovery.crash_points_survived"};
+  // Round planner and block cache.
+  LazyCounter plan_rounds_{registry_, "plan.rounds"};
+  LazyCounter read_transfers_{registry_, "plan.read_transfers"};
+  LazyCounter data_blocks_{registry_, "plan.data_blocks"};
+  LazyCounter coalesced_blocks_{registry_, "plan.coalesced_blocks"};
+  LazyCounter deduped_blocks_{registry_, "plan.deduped_blocks"};
+  LazyHistogram transfers_per_round_{registry_, "plan.transfers_per_round"};
+  LazyCounter cache_lookups_{registry_, "cache.lookups"};
+  LazyCounter cache_hits_{registry_, "cache.hits"};
+  LazyGauge cache_resident_bytes_{registry_, "cache.resident_bytes"};
+  LazyGauge cache_pinned_entries_{registry_, "cache.pinned_entries"};
+  LazyGauge cache_evictions_{registry_, "cache.evictions"};
+  LazyGauge cache_hit_rate_recent_{registry_, "cache.hit_rate_recent"};
+  LazyGauge pool_outstanding_{registry_, "page_pool.outstanding"};
+  LazyGauge pool_recycled_{registry_, "page_pool.recycled"};
+  LazyHistogram seek_cylinders_measured_{registry_, "plan.seek_cylinders_measured"};
+  LazyHistogram seek_cylinders_worst_{registry_, "plan.seek_cylinders_worst"};
+  LazyCounter seek_cylinders_saved_{registry_, "plan.seek_cylinders_saved"};
+  LazyCounter cache_invalidations_{registry_, "cache.invalidations"};
+  LazyCounter cache_invalidated_entries_{registry_, "cache.invalidated_entries"};
+  // Sessions and cluster.
+  LazyCounter sessions_batched_{registry_, "sessions.batched"};
+  LazyCounter sessions_patched_{registry_, "sessions.patched"};
+  LazyHistogram patch_gap_blocks_{registry_, "sessions.patch_gap_blocks"};
+  LazyCounter sessions_merged_{registry_, "sessions.merged"};
+  LazyHistogram merge_runway_blocks_{registry_, "sessions.merge_runway_blocks"};
+  LazyCounter nodes_down_{registry_, "cluster.nodes_down"};
+  LazyCounter nodes_up_{registry_, "cluster.nodes_up"};
+  LazyCounter failovers_{registry_, "cluster.failovers"};
+  LazyHistogram failover_interruption_usec_{registry_, "cluster.failover_interruption_usec"};
+  LazyCounter re_replications_{registry_, "cluster.re_replications"};
+  LazyCounter repair_blocks_{registry_, "cluster.repair_blocks"};
+  LazyCounter viewers_shed_{registry_, "cluster.viewers_shed"};
+  // Spans and critical-path verdicts.
+  LazyCounter spans_emitted_{registry_, "spans.emitted"};
+  LazyCounter critical_path_rounds_{registry_, "critical_path.rounds"};
+  LazyCounter critical_path_anomalies_{registry_, "critical_path.anomalies"};
+  // critical_path.dominant.<stage>, by stage; stages out of range share the
+  // last slot (SpanStageName renders them all as "?").
+  std::array<Counter*, kSpanStageCount + 1> dominant_{};
+  LazyHistogram queue_usec_{registry_, "critical_path.queue_usec"};
+  LazyHistogram seek_usec_{registry_, "critical_path.seek_usec"};
+  LazyHistogram transfer_usec_{registry_, "critical_path.transfer_usec"};
+  LazyHistogram retry_usec_{registry_, "critical_path.retry_usec"};
+  LazyHistogram merge_patch_usec_{registry_, "critical_path.merge_patch_usec"};
+  LazyHistogram append_usec_{registry_, "critical_path.append_usec"};
 };
 
 }  // namespace obs

@@ -50,9 +50,10 @@ MultimediaFileSystem::MultimediaFileSystem(const FileSystemConfig& config) : con
       config_.scheduler.trace = &telemetry_->tee;
     }
   }
-  DiskOptions disk_options{config.retain_data, config.faults};
-  disk_options.image_path = config.disk_image_path;
-  disk_options.image_truncate = config.disk_image_truncate;
+  DiskOptions disk_options{.retain_data = config.retain_data,
+                           .faults = config.faults,
+                           .image_path = config.disk_image_path,
+                           .image_truncate = config.disk_image_truncate};
   if (disk_options.image_path.empty()) {
     if (const char* env_image = std::getenv("VAFS_DISK_IMAGE"); env_image != nullptr) {
       disk_options.image_path = env_image;

@@ -1139,7 +1139,6 @@ void ScavengeStrands(Disk* disk, FsckReport* report) {
 }  // namespace
 
 Result<FsckReport> Fsck(Disk* disk) {
-  const int64_t roots_start = disk->total_sectors() - 2;
   FsckReport report;
 
   RootChoice choice = ChooseRoot(disk);

@@ -191,6 +191,64 @@ TEST(PerfettoExporterTest, RoundAndDiskSlicesCarryBudgetAndGeometryArgs) {
   EXPECT_EQ(completions[0]->StringOr("s", ""), "t");
 }
 
+TEST(PerfettoExporterTest, EveryEventKindRendersABodyEvent) {
+  std::vector<TraceEvent> events;
+  for (int kind = 0; kind <= static_cast<int>(TraceEventKind::kCriticalPath); ++kind) {
+    TraceEvent event = Event(static_cast<TraceEventKind>(kind), 1000 + kind);
+    event.request = 7;
+    event.span_id = 1;
+    event.span_stage = static_cast<int64_t>(SpanStage::kTransfer);
+    event.node = 3;
+    events.push_back(event);
+  }
+  Result<JsonValue> parsed = JsonValue::Parse(PerfettoExporter(&events).Export());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const JsonValue* trace_events = parsed->Find("traceEvents");
+  ASSERT_NE(trace_events, nullptr);
+  size_t body = 0;
+  for (const JsonValue& event : trace_events->array) {
+    body += event.StringOr("ph", "") != "M" ? 1 : 0;
+  }
+  EXPECT_EQ(body, events.size());
+
+  // Session events are instants on the request's track with their args.
+  const auto merged = Select(*parsed, "i", 1, 7, "session_merged");
+  ASSERT_EQ(merged.size(), 1u);
+  const JsonValue* merge_args = merged[0]->Find("args");
+  ASSERT_NE(merge_args, nullptr);
+  for (const char* arg : {"session", "leader", "gap_blocks", "runway_blocks"}) {
+    EXPECT_NE(merge_args->Find(arg), nullptr) << arg;
+  }
+  // Cluster events share one named cluster track; a failover carries its
+  // interruption and the bound it had to meet.
+  const auto failovers = Select(*parsed, "i", 5, 0, "failover");
+  ASSERT_EQ(failovers.size(), 1u);
+  const JsonValue* failover_args = failovers[0]->Find("args");
+  ASSERT_NE(failover_args, nullptr);
+  EXPECT_EQ(failover_args->NumberOr("node", -1), 3.0);
+  EXPECT_NE(failover_args->Find("interruption_usec"), nullptr);
+  EXPECT_NE(failover_args->Find("bound_usec"), nullptr);
+  EXPECT_EQ(Select(*parsed, "i", 5, 0).size(), 5u);
+  EXPECT_EQ(Select(*parsed, "M", 5, 0, "thread_name").size(), 1u);
+}
+
+TEST(PerfettoExporterTest, BatchedRiderShowsOnItsLeadersTrack) {
+  TraceEvent batched = Event(TraceEventKind::kSessionBatched, 500);
+  batched.session = 4;
+  batched.leader = 9;  // a batched rider has no stream (request 0) of its own
+  const std::vector<TraceEvent> events = {batched};
+  Result<JsonValue> parsed = JsonValue::Parse(PerfettoExporter(&events).Export());
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  const auto instants = Select(*parsed, "i", 1, 9, "session_batched");
+  ASSERT_EQ(instants.size(), 1u);
+  const JsonValue* arguments = instants[0]->Find("args");
+  ASSERT_NE(arguments, nullptr);
+  EXPECT_EQ(arguments->NumberOr("session", 0), 4.0);
+  EXPECT_EQ(arguments->NumberOr("leader", 0), 9.0);
+  // No cluster event, no cluster process.
+  EXPECT_TRUE(Select(*parsed, "M", 5, 0).empty());
+}
+
 TEST(PrometheusExporterTest, MetricNameSanitizes) {
   EXPECT_EQ(PrometheusExporter::MetricName("disk.read_service_usec"),
             "vafs_disk_read_service_usec");

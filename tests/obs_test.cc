@@ -123,6 +123,88 @@ TEST(TraceTest, MetricsSinkFoldsEvents) {
   EXPECT_EQ(registry.FindCounter("disk.sectors_read")->value(), 64);
 }
 
+TEST(TraceTest, MetricsSinkCreatesAnInstrumentOnlyWhenAnEventTouchesIt) {
+  MetricsRegistry registry;
+  MetricsSink sink(&registry);
+  EXPECT_EQ(registry.ToJson(), MetricsRegistry().ToJson());
+
+  // A zero-duration service counts blocks but records no service time.
+  TraceEvent serviced;
+  serviced.kind = TraceEventKind::kRequestServiced;
+  serviced.blocks = 3;
+  sink.OnEvent(serviced);
+  ASSERT_NE(registry.FindCounter("scheduler.blocks_serviced"), nullptr);
+  EXPECT_EQ(registry.FindCounter("scheduler.blocks_serviced")->value(), 3);
+  EXPECT_EQ(registry.FindHistogram("scheduler.request_service_usec"), nullptr);
+  EXPECT_EQ(registry.ToJson().find("request_service_usec"), std::string::npos);
+  serviced.duration = 40;
+  sink.OnEvent(serviced);
+  ASSERT_NE(registry.FindHistogram("scheduler.request_service_usec"), nullptr);
+  EXPECT_EQ(registry.FindHistogram("scheduler.request_service_usec")->count(), 1);
+  EXPECT_EQ(registry.FindCounter("scheduler.blocks_serviced")->value(), 6);
+
+  // A plan with no cache probes and a seek with nothing saved leave their
+  // conditional counters absent.
+  TraceEvent planned;
+  planned.kind = TraceEventKind::kRoundPlanned;
+  sink.OnEvent(planned);
+  EXPECT_NE(registry.FindCounter("plan.rounds"), nullptr);
+  EXPECT_EQ(registry.FindCounter("cache.lookups"), nullptr);
+  TraceEvent seek;
+  seek.kind = TraceEventKind::kSeekAccounting;
+  sink.OnEvent(seek);
+  EXPECT_NE(registry.FindHistogram("plan.seek_cylinders_worst"), nullptr);
+  EXPECT_EQ(registry.FindCounter("plan.seek_cylinders_saved"), nullptr);
+
+  // The dominant-stage counter exists per stage that has dominated a round.
+  TraceEvent verdict;
+  verdict.kind = TraceEventKind::kCriticalPath;
+  verdict.span_stage = static_cast<int64_t>(SpanStage::kSeek);
+  sink.OnEvent(verdict);
+  sink.OnEvent(verdict);
+  ASSERT_NE(registry.FindCounter("critical_path.dominant.seek"), nullptr);
+  EXPECT_EQ(registry.FindCounter("critical_path.dominant.seek")->value(), 2);
+  EXPECT_EQ(registry.FindCounter("critical_path.dominant.transfer"), nullptr);
+  EXPECT_EQ(registry.FindHistogram("critical_path.retry_usec"), nullptr);
+  verdict.span_stage = 99;  // out of range: named as SpanStageName renders it
+  sink.OnEvent(verdict);
+  ASSERT_NE(registry.FindCounter("critical_path.dominant.?"), nullptr);
+  EXPECT_EQ(registry.FindCounter("critical_path.dominant.?")->value(), 1);
+}
+
+TEST(TraceTest, MetricsSinksOnTwoRegistriesShareNoHandles) {
+  MetricsRegistry first_registry;
+  MetricsRegistry second_registry;
+  MetricsSink first(&first_registry);
+  MetricsSink second(&second_registry);
+  TraceEvent round;
+  round.kind = TraceEventKind::kRoundEnd;
+  round.k = 2;
+  first.OnEvent(round);
+  round.k = 5;
+  second.OnEvent(round);
+  second.OnEvent(round);
+  TraceEvent read;
+  read.kind = TraceEventKind::kDiskRead;
+  read.blocks = 8;
+  second.OnEvent(read);
+  TraceEvent verdict;
+  verdict.kind = TraceEventKind::kCriticalPath;
+  verdict.span_stage = static_cast<int64_t>(SpanStage::kQueue);
+  first.OnEvent(verdict);
+  second.OnEvent(verdict);
+  second.OnEvent(verdict);
+
+  EXPECT_EQ(first_registry.FindCounter("critical_path.dominant.queue")->value(), 1);
+  EXPECT_EQ(second_registry.FindCounter("critical_path.dominant.queue")->value(), 2);
+  EXPECT_EQ(first_registry.FindCounter("scheduler.rounds")->value(), 1);
+  EXPECT_EQ(first_registry.FindGauge("scheduler.current_k")->value(), 2.0);
+  EXPECT_EQ(first_registry.FindCounter("disk.reads"), nullptr);
+  EXPECT_EQ(second_registry.FindCounter("scheduler.rounds")->value(), 2);
+  EXPECT_EQ(second_registry.FindGauge("scheduler.current_k")->value(), 5.0);
+  EXPECT_EQ(second_registry.FindCounter("disk.sectors_read")->value(), 8);
+}
+
 // --- Auditor -------------------------------------------------------------
 
 // Builders for a synthetic, internally consistent trace.
@@ -436,6 +518,22 @@ TEST(MetricsTest, JsonEscapesInstrumentNamesAndControlCharacters) {
   EXPECT_EQ(json.find("weird\"name"), std::string::npos);
 }
 
+std::vector<int64_t> RetainedRounds(const TraceLog& log) {
+  std::vector<int64_t> rounds;
+  for (const TraceEvent& event : log.events()) {
+    rounds.push_back(event.round);
+  }
+  return rounds;
+}
+
+std::vector<int64_t> Range(int64_t first, int64_t last) {
+  std::vector<int64_t> rounds;
+  for (int64_t round = first; round <= last; ++round) {
+    rounds.push_back(round);
+  }
+  return rounds;
+}
+
 TEST(TraceTest, BoundedLogDropsOldestAndCounts) {
   TraceLog log(/*capacity=*/8);
   EXPECT_EQ(log.capacity(), 8u);
@@ -445,26 +543,52 @@ TEST(TraceTest, BoundedLogDropsOldestAndCounts) {
     event.round = i;
     log.OnEvent(event);
   }
-  // Never grows past capacity, dropped + retained account for every event.
-  EXPECT_LE(log.events().size(), 8u);
-  EXPECT_EQ(log.dropped() + static_cast<int64_t>(log.events().size()), 20);
-  // Drop-oldest: the newest event is always retained, in order.
-  EXPECT_EQ(log.events().back().round, 19);
-  for (size_t i = 1; i < log.events().size(); ++i) {
-    EXPECT_EQ(log.events()[i].round, log.events()[i - 1].round + 1);
+  // A full log drops its oldest quarter (2 of 8) in one step when the next
+  // event arrives: 20 events leave exactly rounds 12..19.
+  EXPECT_EQ(RetainedRounds(log), Range(12, 19));
+  EXPECT_EQ(log.dropped(), 12);
+  // Reading between writes changes nothing about what is retained next.
+  event.round = 20;
+  log.OnEvent(event);
+  EXPECT_EQ(RetainedRounds(log), Range(14, 20));
+  EXPECT_EQ(log.dropped(), 14);
+  for (int i = 21; i < 30; ++i) {
+    event.round = i;
+    log.OnEvent(event);
+    if (i == 25) {
+      EXPECT_EQ(RetainedRounds(log), Range(18, 25));
+    }
   }
+  EXPECT_EQ(RetainedRounds(log), Range(22, 29));
+  EXPECT_EQ(log.dropped(), 22);
   log.Clear();
   EXPECT_EQ(log.dropped(), 0);
   EXPECT_TRUE(log.events().empty());
+  event.round = 40;
+  log.OnEvent(event);
+  EXPECT_EQ(RetainedRounds(log), Range(40, 40));
+
+  // Capacity 1 still drops max(1, 1/4) = 1: the newest event survives.
+  TraceLog single(/*capacity=*/1);
+  for (int i = 0; i < 5; ++i) {
+    event.round = i;
+    single.OnEvent(event);
+    EXPECT_EQ(RetainedRounds(single), Range(i, i));
+  }
+  EXPECT_EQ(single.dropped(), 4);
 }
 
 TEST(TraceTest, UnboundedLogKeepsEverything) {
   TraceLog log;  // capacity 0
   TraceEvent event;
   for (int i = 0; i < 1000; ++i) {
+    event.round = i;
     log.OnEvent(event);
+    if (i % 97 == 0) {
+      EXPECT_EQ(RetainedRounds(log), Range(0, i));
+    }
   }
-  EXPECT_EQ(log.events().size(), 1000u);
+  EXPECT_EQ(RetainedRounds(log), Range(0, 999));
   EXPECT_EQ(log.dropped(), 0);
 }
 

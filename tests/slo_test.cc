@@ -156,6 +156,68 @@ TEST(SloTrackerTest, UnknownStreamsAndStrayEventsAreIgnored) {
   EXPECT_EQ(tracker.Report().rounds_total, 1);
 }
 
+TEST(SloTrackerTest, AnyRequestIdWorksAndReportOrdersStreamsById) {
+  SloTracker tracker;
+  const uint64_t big = (uint64_t{1} << 40) + 7;
+  std::vector<uint64_t> breached;
+  tracker.set_breach_handler(
+      [&breached](uint64_t request, const std::string&) { breached.push_back(request); });
+
+  tracker.OnEvent(Submit(big, 0));
+  tracker.OnEvent(RoundStart(0, 2, 0));
+  tracker.OnEvent(Serviced(2, 2, 1000, 500));  // before stream 2's submit: ignored
+  tracker.OnEvent(Submit(2, 600));
+  tracker.OnEvent(Submit(3, 650));  // never serviced
+  tracker.OnEvent(Submit(1, 700));
+  tracker.OnEvent(Serviced(big, 2, 1000, 1000));
+  tracker.OnEvent(Serviced(1, 2, 1000, 1200));
+  tracker.OnEvent(Serviced(2, 1, 1000, 1400));  // unsaturated: exempt
+  tracker.OnEvent(RoundEnd(0, 1500, 1500));
+  tracker.OnEvent(Submit(1, 1600));  // resubmitted: the same stream, counts kept
+  tracker.OnEvent(RoundStart(1, 2, 1600));
+  tracker.OnEvent(Serviced(1, 2, 1000, 2500));
+  tracker.OnEvent(Serviced(big, 2, 1000, 2600));
+  tracker.OnEvent(RoundEnd(1, 2500, 2600));  // overruns the 2000 us budget
+
+  const SloReport report = tracker.Report();
+  EXPECT_EQ(report.rounds_total, 2);
+  ASSERT_EQ(report.streams.size(), 4u);
+  const StreamSlo& one = report.streams[0];
+  const StreamSlo& two = report.streams[1];
+  const StreamSlo& idle = report.streams[2];
+  const StreamSlo& third = report.streams[3];
+  EXPECT_EQ(one.request, 1u);
+  EXPECT_EQ(two.request, 2u);
+  EXPECT_EQ(idle.request, 3u);
+  EXPECT_EQ(third.request, big);
+
+  EXPECT_EQ(one.submit_time, 1600);
+  EXPECT_EQ(one.startup_latency, 500);
+  EXPECT_EQ(one.blocks_transferred, 4);
+  EXPECT_EQ(one.rounds_accounted, 2);
+  EXPECT_EQ(one.rounds_within_budget, 1);
+  EXPECT_EQ(one.jitter_usec.count(), 1);
+
+  EXPECT_EQ(two.startup_latency, 800);
+  EXPECT_EQ(two.blocks_transferred, 1);
+  EXPECT_EQ(two.rounds_accounted, 0);
+  EXPECT_EQ(two.rounds_exempt, 1);
+
+  EXPECT_EQ(idle.startup_latency, -1);
+  EXPECT_EQ(idle.blocks_transferred, 0);
+
+  EXPECT_EQ(third.startup_latency, 1000);
+  EXPECT_EQ(third.blocks_transferred, 4);
+  EXPECT_EQ(third.rounds_accounted, 2);
+  EXPECT_EQ(third.rounds_within_budget, 1);
+  EXPECT_DOUBLE_EQ(third.min_slack_fraction, -0.25);
+
+  // The overrun breaches both saturated streams, in service order.
+  EXPECT_EQ(breached, (std::vector<uint64_t>{1, big}));
+  EXPECT_FALSE(tracker.AllStreamsMeetSlo());
+  EXPECT_EQ(report.BreachedStreams(), 2);
+}
+
 TEST(SloTrackerTest, ReportJsonRoundTripsThroughParser) {
   SloTracker tracker;
   tracker.OnEvent(Submit(3, 0));
@@ -208,6 +270,53 @@ TEST(FlightRecorderTest, RingsDropOldestPerSeverity) {
   EXPECT_NE(dump.find("6 info dropped"), std::string::npos) << dump;
   EXPECT_NE(dump.find("round=9"), std::string::npos) << dump;
   EXPECT_EQ(dump.find("round=5"), std::string::npos) << dump;
+}
+
+TEST(FlightRecorderTest, InterleavedSeveritiesKeepTheNewestOfEachInArrivalOrder) {
+  FlightRecorder recorder(FlightRecorderOptions{.ring_capacity = 4, .dump_once = true});
+  // Severities by position: every 3rd event is a warning, every 5th a
+  // critical (criticals win), the rest info.
+  std::vector<TraceEvent> events;
+  std::vector<TraceSeverity> severities;
+  for (int i = 0; i < 40; ++i) {
+    TraceEvent event;
+    event.round = i;
+    event.kind = i % 5 == 4   ? TraceEventKind::kBlockSkipped
+                 : i % 3 == 2 ? TraceEventKind::kDiskFault
+                              : TraceEventKind::kRoundEnd;
+    events.push_back(event);
+    severities.push_back(ClassifyTraceEvent(event));
+    recorder.OnEvent(event);
+  }
+
+  // Expected: the 4 newest events of each severity, merged by arrival.
+  int seen[3] = {0, 0, 0};
+  int total[3] = {0, 0, 0};
+  for (TraceSeverity severity : severities) {
+    ++total[static_cast<int>(severity)];
+  }
+  std::string lines;
+  int retained = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    const int s = static_cast<int>(severities[i]);
+    if (++seen[s] > total[s] - 4) {
+      lines += std::string("[") + TraceSeverityName(severities[i]) + "] " +
+               TraceEventSummary(events[i]) + "\n";
+      ++retained;
+    }
+  }
+  ASSERT_EQ(total[0], 21);
+  ASSERT_EQ(total[1], 11);
+  ASSERT_EQ(total[2], 8);
+  const std::string expected = "flight recorder: " + std::to_string(retained) +
+                               " events retained, 17 info dropped, 7 warn dropped, "
+                               "4 crit dropped\n" + lines;
+  EXPECT_EQ(retained, 12);
+  EXPECT_EQ(recorder.Dump(), expected);
+  EXPECT_EQ(recorder.dropped(TraceSeverity::kInfo), 17);
+  EXPECT_EQ(recorder.dropped(TraceSeverity::kWarning), 7);
+  EXPECT_EQ(recorder.dropped(TraceSeverity::kCritical), 4);
+  EXPECT_EQ(recorder.events_seen(), 40);
 }
 
 TEST(FlightRecorderTest, CriticalEventAutoDumpsOnceUntilRearmed) {
