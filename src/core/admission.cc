@@ -15,28 +15,54 @@ AdmissionControl::AdmissionControl(StorageTimings storage, double avg_scattering
   assert(avg_scattering_sec_ <= storage_.max_access_gap_sec);
 }
 
-AdmissionControl::Analysis AdmissionControl::Analyze(
-    const std::vector<RequestSpec>& requests) const {
+RequestSums::RequestSums(const std::vector<RequestSpec>& requests) {
+  for (const RequestSpec& request : requests) {
+    Add(request);
+  }
+}
+
+void RequestSums::Add(const RequestSpec& request) {
+  ++n_;
+  block_bits_ += request.BlockBits();
+  ++playback_counts_[request.BlockPlaybackDuration()];
+}
+
+void RequestSums::Remove(const RequestSpec& request) {
+  const auto it = playback_counts_.find(request.BlockPlaybackDuration());
+  assert(it != playback_counts_.end() && n_ > 0);
+  if (--it->second == 0) {
+    playback_counts_.erase(it);
+  }
+  --n_;
+  block_bits_ -= request.BlockBits();
+}
+
+double RequestSums::min_block_playback() const {
+  return playback_counts_.empty() ? std::numeric_limits<double>::infinity()
+                                  : playback_counts_.begin()->first;
+}
+
+AdmissionControl::Analysis AdmissionControl::Analyze(const RequestSums& requests) const {
   Analysis analysis;
-  analysis.n = static_cast<int64_t>(requests.size());
-  if (requests.empty()) {
+  analysis.n = requests.n();
+  if (requests.n() == 0) {
     return analysis;
   }
-  double total_block_bits = 0.0;
-  double gamma = std::numeric_limits<double>::infinity();
-  for (const RequestSpec& request : requests) {
-    total_block_bits += request.BlockBits();
-    gamma = std::min(gamma, request.BlockPlaybackDuration());
-  }
-  const double avg_transfer =
-      total_block_bits / static_cast<double>(requests.size()) / storage_.transfer_rate_bits_per_sec;
+  const double avg_transfer = static_cast<double>(requests.block_bits()) /
+                              static_cast<double>(requests.n()) /
+                              storage_.transfer_rate_bits_per_sec;
   analysis.alpha_sec = storage_.max_access_gap_sec + avg_transfer;  // Eq. 12
   analysis.beta_sec = avg_scattering_sec_ + avg_transfer;           // Eq. 13
-  analysis.gamma_sec = gamma;                                       // Eq. 14
+  analysis.gamma_sec = requests.min_block_playback();               // Eq. 14
   // Eq. 17: gamma > n*beta must hold, so n_max = ceil(gamma/beta) - 1.
   analysis.n_max =
       static_cast<int64_t>(std::ceil(analysis.gamma_sec / analysis.beta_sec)) - 1;
   return analysis;
+}
+
+AdmissionControl::Analysis AdmissionControl::Analyze(
+    const std::vector<RequestSpec>& requests) const {
+  return Analyze(RequestSums(requests));
 }
 
 namespace {
@@ -68,9 +94,8 @@ Result<int64_t> AdmissionControl::SteadyStateBlocksPerRound(
   return SolveForK(analysis, numerator);
 }
 
-Result<int64_t> AdmissionControl::TransientSafeBlocksPerRound(
-    const std::vector<RequestSpec>& requests) const {
-  if (requests.empty()) {
+Result<int64_t> AdmissionControl::TransientSafeBlocksPerRound(const RequestSums& requests) const {
+  if (requests.n() == 0) {
     return static_cast<int64_t>(1);
   }
   const Analysis analysis = Analyze(requests);
@@ -78,6 +103,11 @@ Result<int64_t> AdmissionControl::TransientSafeBlocksPerRound(
   // the playback of k guarantees each single-step k increase is seamless.
   const double numerator = static_cast<double>(analysis.n) * analysis.alpha_sec;
   return SolveForK(analysis, numerator);
+}
+
+Result<int64_t> AdmissionControl::TransientSafeBlocksPerRound(
+    const std::vector<RequestSpec>& requests) const {
+  return TransientSafeBlocksPerRound(RequestSums(requests));
 }
 
 bool AdmissionControl::Feasible(const std::vector<RequestSpec>& requests) const {
@@ -88,11 +118,11 @@ bool AdmissionControl::Feasible(const std::vector<RequestSpec>& requests) const 
   return analysis.gamma_sec > static_cast<double>(analysis.n) * analysis.beta_sec;
 }
 
-Result<std::vector<int64_t>> AdmissionControl::PlanAdmission(
-    const std::vector<RequestSpec>& existing, const RequestSpec& candidate,
-    int64_t current_k) const {
-  std::vector<RequestSpec> combined = existing;
-  combined.push_back(candidate);
+Result<std::vector<int64_t>> AdmissionControl::PlanAdmission(const RequestSums& existing,
+                                                             const RequestSpec& candidate,
+                                                             int64_t current_k) const {
+  RequestSums combined = existing;
+  combined.Add(candidate);
   auto emit = [&](obs::TraceEventKind kind, int64_t target_k, const std::string& detail) {
     if (trace_ == nullptr) {
       return;
@@ -100,7 +130,7 @@ Result<std::vector<int64_t>> AdmissionControl::PlanAdmission(
     obs::TraceEvent event;
     event.kind = kind;
     event.k = current_k;
-    event.existing = static_cast<int64_t>(existing.size());
+    event.existing = existing.n();
     event.target_k = target_k;
     event.n_max = Analyze(combined).n_max;
     event.detail = detail;
@@ -126,6 +156,12 @@ Result<std::vector<int64_t>> AdmissionControl::PlanAdmission(
     schedule.push_back(k);
   }
   return schedule;
+}
+
+Result<std::vector<int64_t>> AdmissionControl::PlanAdmission(
+    const std::vector<RequestSpec>& existing, const RequestSpec& candidate,
+    int64_t current_k) const {
+  return PlanAdmission(RequestSums(existing), candidate, current_k);
 }
 
 Result<std::vector<int64_t>> AdmissionControl::PerRequestBlocksPerRound(

@@ -22,6 +22,7 @@
 #define VAFS_SRC_CORE_ADMISSION_H_
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/core/profiles.h"
@@ -36,13 +37,39 @@ struct RequestSpec {
   MediaProfile profile;     // R_i and s_i
   int64_t granularity = 1;  // q_i
 
-  // Bits transferred per block of this request.
-  double BlockBits() const { return static_cast<double>(granularity * profile.bits_per_unit); }
+  // Bits transferred per block of this request (an exact integer).
+  int64_t BlockBits() const { return granularity * profile.bits_per_unit; }
 
   // Playback duration of one block, q_i / R_i.
   double BlockPlaybackDuration() const {
     return static_cast<double>(granularity) / profile.units_per_sec;
   }
+};
+
+// The Eq. 12-14 inputs of a request set as running sums: n, the total of
+// per-block bits, and a count of requests per distinct block playback time
+// q_i / R_i, whose smallest key is gamma. A ledger that adds and removes
+// requests as they come and go analyses its set without walking it. Block
+// bits are integers, so the int64_t total equals the ordered double sum of
+// a walk over the set (exact below 2^53), and decisions match bit for bit.
+class RequestSums {
+ public:
+  RequestSums() = default;
+  explicit RequestSums(const std::vector<RequestSpec>& requests);
+
+  void Add(const RequestSpec& request);
+  // `request` must have been added and not removed since.
+  void Remove(const RequestSpec& request);
+
+  int64_t n() const { return n_; }
+  int64_t block_bits() const { return block_bits_; }
+  // gamma: the smallest block playback time (infinity for an empty set).
+  double min_block_playback() const;
+
+ private:
+  int64_t n_ = 0;
+  int64_t block_bits_ = 0;
+  std::map<double, int64_t> playback_counts_;  // block playback time -> requests
 };
 
 class AdmissionControl {
@@ -69,6 +96,7 @@ class AdmissionControl {
     // gamma and average block size.
     int64_t n_max = 0;
   };
+  Analysis Analyze(const RequestSums& requests) const;
   Analysis Analyze(const std::vector<RequestSpec>& requests) const;
 
   // Steady-state blocks-per-round (Eq. 16). Fails if gamma <= n*beta, i.e.
@@ -77,6 +105,7 @@ class AdmissionControl {
 
   // Transient-safe blocks-per-round (Eq. 18): the k from which every
   // single-step increase preserves continuity mid-transition.
+  Result<int64_t> TransientSafeBlocksPerRound(const RequestSums& requests) const;
   Result<int64_t> TransientSafeBlocksPerRound(const std::vector<RequestSpec>& requests) const;
 
   // Whether `requests` can all be serviced with some finite k.
@@ -86,6 +115,9 @@ class AdmissionControl {
   // decide whether `candidate` can join. On success returns the schedule
   // of k values to step through, one per round ({k} alone if k is already
   // sufficient); the candidate starts only after the last step.
+  Result<std::vector<int64_t>> PlanAdmission(const RequestSums& existing,
+                                             const RequestSpec& candidate,
+                                             int64_t current_k) const;
   Result<std::vector<int64_t>> PlanAdmission(const std::vector<RequestSpec>& existing,
                                              const RequestSpec& candidate,
                                              int64_t current_k) const;

@@ -1,8 +1,10 @@
 #include "src/media/sources.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 
 #include "src/util/units.h"
 
@@ -16,14 +18,25 @@ VideoSource::VideoSource(const MediaProfile& profile, uint64_t seed)
 
 std::vector<uint8_t> VideoSource::FramePayload(int64_t index) const {
   // Payload bytes come from a SplitMix64 stream keyed by (seed, index):
-  // cheap, deterministic and unique per frame.
+  // cheap, deterministic and unique per frame. Each word lands as 8 bytes,
+  // least significant first on every host: a big-endian host swaps the
+  // word to little-endian before the one 8-byte store. A short tail takes
+  // the low bytes of one more word.
   std::vector<uint8_t> payload(static_cast<size_t>(frame_bytes_));
   uint64_t state = seed_ ^ (0x632be59bd9b4e019ULL * static_cast<uint64_t>(index + 1));
-  size_t i = 0;
-  while (i < payload.size()) {
+  uint8_t* out = payload.data();
+  const size_t whole = payload.size() / 8 * 8;
+  for (size_t i = 0; i < whole; i += 8) {
     uint64_t word = SplitMix64(state);
-    for (int b = 0; b < 8 && i < payload.size(); ++b, ++i) {
-      payload[i] = static_cast<uint8_t>(word >> (8 * b));
+    if constexpr (std::endian::native == std::endian::big) {
+      word = __builtin_bswap64(word);
+    }
+    std::memcpy(out + i, &word, sizeof(word));
+  }
+  if (whole < payload.size()) {
+    const uint64_t word = SplitMix64(state);
+    for (size_t i = whole; i < payload.size(); ++i) {
+      out[i] = static_cast<uint8_t>(word >> (8 * (i - whole)));
     }
   }
   return payload;

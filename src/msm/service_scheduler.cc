@@ -5,7 +5,6 @@
 #include <cstdlib>
 #include <deque>
 #include <map>
-#include <set>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -106,42 +105,32 @@ void ServiceScheduler::CountSlots(const ActiveRequest& request, int64_t delta) {
     return;
   }
   if (request.stats.paused && request.destructively_paused) {
-    slot_counts_.paused_destructive += delta;
-  } else if (request.stats.cache_admitted) {
+    slot_counts_.paused_destructive += delta;  // the slot was released at pause time
+    return;
+  }
+  if (request.stats.cache_admitted) {
     // Pending, active or non-destructively paused cache tenants all sit
-    // in their own column: none of those states holds an Eq. 17 slot.
+    // in their own column: none of those states holds an Eq. 17 slot, so
+    // none is charged to later admissions (or to k shrinks on revocation).
     slot_counts_.cache_tenants += delta;
-  } else if (request.stats.paused) {
+    return;
+  }
+  if (request.stats.paused) {
     slot_counts_.paused_nondestructive += delta;
   } else if (request.pending) {
     slot_counts_.pending += delta;
   } else {
     slot_counts_.active += delta;
   }
+  if (delta > 0) {
+    slot_sums_.Add(AdmissionSpec(request));
+  } else {
+    slot_sums_.Remove(AdmissionSpec(request));
+  }
 }
 
-std::vector<RequestSpec> ServiceScheduler::SlotHolderSpecs() const {
-  std::vector<RequestSpec> specs;
-  ForEachRequest([&specs](RequestId, const ActiveRequest& request) {
-    if (request.stats.completed) {
-      return;
-    }
-    if (request.stats.paused && request.destructively_paused) {
-      return;  // the slot was released at pause time
-    }
-    if (request.stats.cache_admitted) {
-      // A cache tenant never passed the Eq. 17 test and holds no slot;
-      // counting it here would charge later admissions (and k shrinks on
-      // its revocation) for a slot that was never granted.
-      return;
-    }
-    if (request.playback.has_value()) {
-      specs.push_back(request.playback->spec);
-    } else if (request.recording.has_value()) {
-      specs.push_back(request.recording->Spec());
-    }
-  });
-  return specs;
+RequestSpec ServiceScheduler::AdmissionSpec(const ActiveRequest& request) {
+  return request.playback.has_value() ? request.playback->spec : request.recording->Spec();
 }
 
 obs::TraceEvent ServiceScheduler::TraceContext(obs::TraceEventKind kind, RequestId request) const {
@@ -294,27 +283,75 @@ void ServiceScheduler::ForEachWindowSector(const std::vector<RequestId>& ids, Fn
   }
 }
 
+void ServiceScheduler::SectorTally::Seal() {
+  std::sort(sectors_.begin(), sectors_.end());
+  sectors_.erase(std::unique(sectors_.begin(), sectors_.end()), sectors_.end());
+  counts_.assign(sectors_.size(), 0);
+  // At least 8 filter bits per asked sector: about 1 in 8 entries that were
+  // not asked about pass the filter and pay for the binary search.
+  int bits_log2 = 9;
+  while ((size_t{1} << bits_log2) < 8 * sectors_.size()) {
+    ++bits_log2;
+  }
+  filter_shift_ = 64 - bits_log2;
+  filter_.assign((size_t{1} << bits_log2) / 64, 0);
+  for (int64_t sector : sectors_) {
+    const uint64_t bit = Bit(sector);
+    filter_[bit / 64] |= uint64_t{1} << (bit % 64);
+  }
+}
+
+uint64_t ServiceScheduler::SectorTally::Bit(int64_t sector) const {
+  // Fibonacci hashing: block sectors share low bits, the top bits mix them.
+  return (static_cast<uint64_t>(sector) * 0x9e3779b97f4a7c15ULL) >> filter_shift_;
+}
+
+void ServiceScheduler::SectorTally::Count(int64_t sector) {
+  const uint64_t bit = Bit(sector);
+  if ((filter_[bit / 64] >> (bit % 64) & 1) == 0) {
+    return;
+  }
+  const auto it = std::lower_bound(sectors_.begin(), sectors_.end(), sector);
+  if (it != sectors_.end() && *it == sector) {
+    ++counts_[static_cast<size_t>(it - sectors_.begin())];
+  }
+}
+
+int64_t ServiceScheduler::SectorTally::Of(int64_t sector) const {
+  const auto it = std::lower_bound(sectors_.begin(), sectors_.end(), sector);
+  assert(it != sectors_.end() && *it == sector);  // only asked sectors are counted
+  return counts_[static_cast<size_t>(it - sectors_.begin())];
+}
+
 double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
-                                               int64_t from_block) const {
+                                               int64_t from_block) {
   const BlockCache* cache = options_.block_cache;
-  const int64_t window = CacheLookaheadBlocks();
-  // Sectors some live stream (rotating or still pending admission) is
-  // scheduled to read within the window: the candidate can ride those
-  // transfers (or their freshly cached results) even where the cache is
-  // still cold.
-  std::set<int64_t> scheduled;
-  ForEachWindowSector(live_ids_, [&scheduled](int64_t sector) { scheduled.insert(sector); });
+  const int64_t limit = std::min<int64_t>(from_block + CacheLookaheadBlocks(),
+                                          static_cast<int64_t>(playback.blocks.size()));
+  // Of the candidate's own window sectors, those some live stream (rotating
+  // or still pending admission) is scheduled to read within its window: the
+  // candidate can ride those transfers (or their freshly cached results)
+  // even where the cache is still cold.
+  coverage_tally_.Clear();
+  for (int64_t b = from_block; b < limit; ++b) {
+    const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(b)];
+    if (!entry.IsSilence()) {
+      coverage_tally_.Ask(entry.sector);
+    }
+  }
+  coverage_tally_.Seal();
+  if (!coverage_tally_.empty()) {
+    ForEachWindowSector(live_ids_, [this](int64_t sector) { coverage_tally_.Count(sector); });
+  }
   int64_t data = 0;
   int64_t covered = 0;
-  const int64_t limit =
-      std::min<int64_t>(from_block + window, static_cast<int64_t>(playback.blocks.size()));
   for (int64_t b = from_block; b < limit; ++b) {
     const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(b)];
     if (entry.IsSilence()) {
       continue;
     }
     ++data;
-    if (cache->Contains(entry.sector, entry.sector_count) || scheduled.count(entry.sector) > 0) {
+    if (cache->Contains(entry.sector, entry.sector_count) || coverage_tally_.Of(entry.sector) > 0) {
       ++covered;
     }
   }
@@ -324,12 +361,12 @@ double ServiceScheduler::ExpectedCacheCoverage(const PlaybackRequest& playback,
 Result<std::vector<int64_t>> ServiceScheduler::PlanJoin(RequestId id, const ActiveRequest& request,
                                                         int64_t from_block, bool* cache_admit) {
   // Existing = every request still holding a slot (active, pending, or
-  // non-destructively paused); destructively paused requests released
-  // theirs and must not be charged.
-  const RequestSpec spec =
-      request.playback.has_value() ? request.playback->spec : request.recording->Spec();
+  // non-destructively paused): the ledger's running sums. Destructively
+  // paused requests released theirs and cache tenants never held one, so
+  // neither is charged.
+  assert(slot_sums_.n() == slot_counts_.Held());
   Result<std::vector<int64_t>> schedule =
-      admission_.PlanAdmission(SlotHolderSpecs(), spec, current_k_);
+      admission_.PlanAdmission(slot_sums_, AdmissionSpec(request), current_k_);
   *cache_admit = false;
   if (schedule.ok() || !request.playback.has_value() || !CacheAdmissionEnabled()) {
     return schedule;
@@ -992,10 +1029,17 @@ const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
 
   // Sectors more than one active stream wants within the lookahead window:
   // the interval between a leading and a trailing viewer. Their cache
-  // entries are biased to evict last — the next hit is scheduled.
-  wanted_.clear();
+  // entries are biased to evict last — the next hit is scheduled. Only the
+  // sectors the plan reads can be inserted, so only those are counted.
   if (cache != nullptr) {
-    ForEachWindowSector(service_order_, [this](int64_t sector) { ++wanted_[sector]; });
+    bias_tally_.Clear();
+    for (const PlannedBlock& rider : plan.riders) {
+      bias_tally_.Ask(rider.sector);
+    }
+    bias_tally_.Seal();
+    if (!bias_tally_.empty()) {
+      ForEachWindowSector(service_order_, [this](int64_t sector) { bias_tally_.Count(sector); });
+    }
   }
 
   // Dispatch fills per-candidate completion instants and fates (indexed by
@@ -1051,8 +1095,7 @@ void ServiceScheduler::RecordExtent(size_t g, SimTime completion, bool ok, std::
   if (!ok || cache == nullptr) {
     return;
   }
-  const auto want = wanted_.find(sector);
-  const bool biased = want != wanted_.end() && want->second >= 2;
+  const bool biased = bias_tally_.Of(sector) >= 2;
   cache->Insert(sector, sectors, sectors * store_->disk().bytes_per_sector(), biased);
   for (const PlannedBlock* block : group_riders_[g]) {
     ActiveRequest& rider = RequestAt(block->request);
@@ -1299,7 +1342,8 @@ int64_t ServiceScheduler::AccountRound(const std::vector<PlanInput>& inputs, Sim
     }
     int64_t moved = 0;
     if (request->recording.has_value()) {
-      moved = append_done_[input.request];
+      const auto appended = append_done_.find(input.request);
+      moved = appended != append_done_.end() ? appended->second : 0;
     } else {
       SimTime prefix = round_start;
       for (size_t s = first_slot; s < slot; ++s) {
@@ -1318,7 +1362,8 @@ int64_t ServiceScheduler::AccountRound(const std::vector<PlanInput>& inputs, Sim
       }
     }
     transferred_total += moved;
-    EmitServiced(*request, now, moved, attributed_[input.request]);
+    const auto attributed = attributed_.find(input.request);
+    EmitServiced(*request, now, moved, attributed != attributed_.end() ? attributed->second : 0);
   }
 
   if (options_.trace != nullptr && dispatch_ops_ > 0) {
@@ -1571,7 +1616,8 @@ Status ServiceScheduler::Pause(RequestId id, bool destructive) {
     std::erase(service_order_, id);
     std::erase_if(pending_, [id](const PendingAdmission& p) { return p.id == id; });
     if (!request.stats.cache_admitted) {
-      Result<int64_t> k = admission_.TransientSafeBlocksPerRound(SlotHolderSpecs());
+      assert(slot_sums_.n() == slot_counts_.Held());
+      Result<int64_t> k = admission_.TransientSafeBlocksPerRound(slot_sums_);
       if (k.ok() && *k < current_k_) {
         current_k_ = *k;
       }
@@ -1607,7 +1653,7 @@ Status ServiceScheduler::Resume(RequestId id) {
     return Status::Ok();
   }
   // Destructive pause released the slot: re-run admission control. The
-  // resuming request holds no slot, so SlotHolderSpecs excludes it — it is
+  // resuming request holds no slot, so the ledger's sums exclude it — it is
   // presented only once, as the candidate.
   bool cache_admit = false;
   Result<std::vector<int64_t>> schedule = PlanJoin(id, request, request.next_block, &cache_admit);

@@ -286,7 +286,9 @@ class ServiceScheduler {
   // findable.
   void RetireCompletedRequests();
   // The slot-ledger column the request occupies (one of SlotSnapshot's
-  // counters, or none for completed); delta is +-1.
+  // counters, or none for completed); delta is +-1. A slot holder (active,
+  // pending or non-destructively paused) also enters or leaves the Eq. 12-14
+  // sums admission plans against.
   void CountSlots(const ActiveRequest& request, int64_t delta);
   // Wraps a state mutation so the O(1) ledger stays exact: the request is
   // removed from its column, mutated, and re-added to its (new) column.
@@ -311,9 +313,8 @@ class ServiceScheduler {
   // traces kCacheAdmit and sets `cache_admit`.
   Result<std::vector<int64_t>> PlanJoin(RequestId id, const ActiveRequest& request,
                                         int64_t from_block, bool* cache_admit);
-  // The requests currently holding an admission slot: running, pending, or
-  // non-destructively paused. Destructively paused requests gave theirs up.
-  std::vector<RequestSpec> SlotHolderSpecs() const;
+  // The request's admission-control view (q_i, s_i, R_i).
+  static RequestSpec AdmissionSpec(const ActiveRequest& request);
   // Slot ledger by lifecycle state, for trace events. O(1): the counters
   // are maintained at every state transition (WithSlotUpdate).
   obs::SlotSnapshot Snapshot() const { return slot_counts_; }
@@ -396,7 +397,7 @@ class ServiceScheduler {
   // Expected fraction of the candidate's upcoming window (starting at
   // block `from_block`) served from memory (resident extents or another
   // active stream's scheduled reads).
-  double ExpectedCacheCoverage(const PlaybackRequest& playback, int64_t from_block) const;
+  double ExpectedCacheCoverage(const PlaybackRequest& playback, int64_t from_block);
   bool CacheAdmissionEnabled() const;
   // The shared block cache when present and enabled, else null.
   BlockCache* ActiveCache() const;
@@ -406,6 +407,29 @@ class ServiceScheduler {
   // listed playback request that is neither completed nor paused.
   template <typename Fn>
   void ForEachWindowSector(const std::vector<RequestId>& ids, Fn&& fn) const;
+
+  // Window demand counted only for the sectors a caller asks about: Ask()
+  // each, Seal(), pass every window entry to Count(), then read Of(). A
+  // bitmap over the asked sectors' hashes sends most other entries away
+  // after one bit test; the rest binary-search the sorted asked set. Entries
+  // are counted, not streams: a window that holds a sector twice counts 2.
+  class SectorTally {
+   public:
+    void Clear() { sectors_.clear(); }
+    void Ask(int64_t sector) { sectors_.push_back(sector); }
+    void Seal();
+    bool empty() const { return sectors_.empty(); }
+    void Count(int64_t sector);
+    // Window entries counted for an asked sector.
+    int64_t Of(int64_t sector) const;
+
+   private:
+    uint64_t Bit(int64_t sector) const;
+    std::vector<int64_t> sectors_;  // sorted and unique once sealed
+    std::vector<int64_t> counts_;   // parallel to sectors_
+    std::vector<uint64_t> filter_;
+    int filter_shift_ = 64;
+  };
 
   // The planned executor (kPlanned): plan -> dispatch -> account. Returns
   // the round's transferred total.
@@ -508,6 +532,9 @@ class ServiceScheduler {
   std::vector<RequestId> live_ids_;  // ascending (ids are issued monotonically)
   std::unordered_map<RequestId, RequestStats> finished_stats_;
   obs::SlotSnapshot slot_counts_;
+  // Eq. 12-14 sums over the slot holders, kept beside slot_counts_ (whose
+  // Held() equals its n) so admission never walks the request table.
+  RequestSums slot_sums_;
 
   std::vector<RequestId> service_order_;  // round-robin order over active requests
   std::deque<PendingAdmission> pending_;
@@ -525,11 +552,17 @@ class ServiceScheduler {
   std::vector<uint8_t> outcome_ok_;
   std::vector<uint8_t> outcome_known_;
   // Lookup-only per-round maps (never iterated, so unordered is safe for
-  // determinism): per-request disk time and appended blocks, and how many
-  // active streams want each sector within the lookahead window.
+  // determinism): per-request disk time and appended blocks. Only requests
+  // that moved data get an entry; AccountRound reads them with find.
   std::unordered_map<uint64_t, SimDuration> attributed_;
   std::unordered_map<uint64_t, int64_t> append_done_;
-  std::unordered_map<int64_t, int> wanted_;
+  // Window entries of the rotation on the sectors this round's plan reads:
+  // the only sectors RecordExtent asks about for its eviction bias.
+  SectorTally bias_tally_;
+  // Live window entries on an admission candidate's own window sectors
+  // (ExpectedCacheCoverage). Separate from bias_tally_: a submission can
+  // arrive mid-round, between the plan and the last RecordExtent.
+  SectorTally coverage_tally_;
   // Seek ledger of the round's dispatch (kSeekAccounting).
   int64_t dispatch_ops_ = 0;
   int64_t dispatch_seek_cylinders_ = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "src/core/admission.h"
@@ -133,10 +134,57 @@ TEST(AdmissionTest, PlanAdmissionStepsKByOne) {
 TEST(AdmissionTest, PlanAdmissionKeepsSufficientK) {
   AdmissionControl admission = TestAdmission();
   Result<std::vector<int64_t>> plan =
-      admission.PlanAdmission({}, RequestSpec{TestVideo(), 4}, 50);
+      admission.PlanAdmission(std::vector<RequestSpec>(), RequestSpec{TestVideo(), 4}, 50);
   ASSERT_TRUE(plan.ok());
   EXPECT_EQ(plan->size(), 1u);
   EXPECT_EQ(plan->front(), 50);
+}
+
+TEST(AdmissionTest, RunningSumsAnalyseLikeTheRequestList) {
+  // A ledger adds and removes requests in any order; its sums must give
+  // the analysis of the list it stands for, bit for bit, and gamma must
+  // rise again when the last request of the fastest kind leaves.
+  AdmissionControl admission = TestAdmission();
+  const RequestSpec video{TestVideo(), 2};
+  const RequestSpec audio{TestAudio(), 512};
+  const RequestSpec coarse_video{TestVideo(), 8};
+  ASSERT_LT(video.BlockPlaybackDuration(), audio.BlockPlaybackDuration());
+  ASSERT_LT(audio.BlockPlaybackDuration(), coarse_video.BlockPlaybackDuration());
+  RequestSums sums;
+  std::vector<RequestSpec> list;
+  const auto expect_same = [&] {
+    const AdmissionControl::Analysis from_sums = admission.Analyze(sums);
+    const AdmissionControl::Analysis from_list = admission.Analyze(list);
+    EXPECT_EQ(sums.n(), static_cast<int64_t>(list.size()));
+    EXPECT_EQ(from_sums.n, from_list.n);
+    EXPECT_EQ(from_sums.alpha_sec, from_list.alpha_sec);
+    EXPECT_EQ(from_sums.beta_sec, from_list.beta_sec);
+    EXPECT_EQ(from_sums.gamma_sec, from_list.gamma_sec);
+    EXPECT_EQ(from_sums.n_max, from_list.n_max);
+  };
+  for (const RequestSpec& spec : {audio, video, coarse_video, video, audio}) {
+    sums.Add(spec);
+    list.push_back(spec);
+    expect_same();
+  }
+  EXPECT_EQ(sums.min_block_playback(), video.BlockPlaybackDuration());
+  // Remove both fine-grained videos: gamma moves up to the next key.
+  for (int i = 0; i < 2; ++i) {
+    sums.Remove(video);
+    list.erase(std::find_if(list.begin(), list.end(), [&](const RequestSpec& spec) {
+      return spec.granularity == video.granularity && spec.profile.medium == Medium::kVideo;
+    }));
+    expect_same();
+  }
+  EXPECT_EQ(sums.min_block_playback(), audio.BlockPlaybackDuration());
+  EXPECT_EQ(sums.block_bits(), 2 * audio.BlockBits() + coarse_video.BlockBits());
+  while (!list.empty()) {
+    sums.Remove(list.back());
+    list.pop_back();
+    expect_same();
+  }
+  EXPECT_EQ(sums.block_bits(), 0);
+  EXPECT_EQ(sums.min_block_playback(), std::numeric_limits<double>::infinity());
 }
 
 TEST(AdmissionTest, PlanAdmissionRejectsBeyondCeiling) {

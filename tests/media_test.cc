@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "src/media/devices.h"
 #include "src/media/media.h"
 #include "src/media/silence.h"
 #include "src/media/sources.h"
+#include "src/util/prng.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -50,6 +53,38 @@ TEST(VideoSourceTest, FramesDifferAcrossIndexAndSeed) {
   EXPECT_NE(source.FramePayload(0), source.FramePayload(1));
   VideoSource other(TestVideo(), 43);
   EXPECT_NE(source.FramePayload(0), other.FramePayload(0));
+}
+
+// The byte-at-a-time fill FramePayload must reproduce: SplitMix64 words
+// keyed by (seed, index), least significant byte first.
+std::vector<uint8_t> BytewiseFramePayload(uint64_t seed, int64_t index, int64_t frame_bytes) {
+  std::vector<uint8_t> payload(static_cast<size_t>(frame_bytes));
+  uint64_t state = seed ^ (0x632be59bd9b4e019ULL * static_cast<uint64_t>(index + 1));
+  size_t i = 0;
+  while (i < payload.size()) {
+    uint64_t word = SplitMix64(state);
+    for (int b = 0; b < 8 && i < payload.size(); ++b, ++i) {
+      payload[i] = static_cast<uint8_t>(word >> (8 * b));
+    }
+  }
+  return payload;
+}
+
+TEST(VideoSourceTest, PayloadBytesArePinnedForEveryFrameSize) {
+  // Frame sizes below, at and just past one word, and a long odd one: the
+  // whole-word fill and its tail give the same bytes as the bytewise loop.
+  for (int64_t frame_bytes : {1, 7, 8, 9, 12345}) {
+    MediaProfile profile = TestVideo();
+    profile.bits_per_unit = 8 * frame_bytes;
+    for (uint64_t seed : {0ULL, 7ULL, 0xfeedface12345678ULL}) {
+      VideoSource source(profile, seed);
+      ASSERT_EQ(source.frame_bytes(), frame_bytes);
+      for (int64_t index : {0, 1, 2, 99, 123456}) {
+        EXPECT_EQ(source.FramePayload(index), BytewiseFramePayload(seed, index, frame_bytes))
+            << "frame_bytes " << frame_bytes << " seed " << seed << " index " << index;
+      }
+    }
+  }
 }
 
 TEST(AudioSourceTest, ProducesRequestedCounts) {

@@ -1,16 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <utility>
 #include <vector>
 
 #include "src/disk/disk_array.h"
+#include "src/media/silence.h"
 #include "src/msm/block_cache.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
+#include "src/util/prng.h"
 #include "tests/test_support.h"
 
 namespace vafs {
@@ -57,6 +61,25 @@ class SchedulerTest : public ::testing::Test {
     }
     request.block_duration = (*strand)->info().BlockDuration();
     request.spec = RequestSpec{TestVideo(), placement.granularity};
+    return request;
+  }
+
+  // Records an audio strand (512-sample blocks, silence eliminated) and
+  // returns a playback request over all its blocks.
+  PlaybackRequest MakeAudioPlayback(double duration_sec, uint64_t seed) {
+    AudioSource source(TestAudio(), SpeechProfile{}, seed);
+    const StrandPlacement placement{512, 0.0, 0.1};
+    Result<RecordingResult> recorded =
+        RecordAudio(&store_, &source, SilenceDetector(), placement, duration_sec);
+    EXPECT_TRUE(recorded.ok());
+    Result<const Strand*> strand = store_.Get(recorded->strand);
+    EXPECT_TRUE(strand.ok());
+    PlaybackRequest request;
+    for (int64_t b = 0; b < (*strand)->block_count(); ++b) {
+      request.blocks.push_back(*(*strand)->index().Lookup(b));
+    }
+    request.block_duration = (*strand)->info().BlockDuration();
+    request.spec = RequestSpec{TestAudio(), placement.granularity};
     return request;
   }
 
@@ -794,6 +817,400 @@ TEST_F(SchedulerTest, DestructivelyPausedRiderResumesAsCacheTenant) {
                                                              obs::TraceEventKind::kResume}));
   scheduler.RunUntilIdle();
   EXPECT_GT(scheduler.stats(*rider)->blocks_done, 0);
+}
+
+// Keeps the scheduler's admission decisions (kAdmissionPlan and
+// kAdmissionReject) in the order they were taken.
+class DecisionLog : public obs::TraceSink {
+ public:
+  void OnEvent(const obs::TraceEvent& event) override {
+    if (event.kind == obs::TraceEventKind::kAdmissionPlan ||
+        event.kind == obs::TraceEventKind::kAdmissionReject) {
+      decisions.push_back(event);
+    }
+  }
+  std::vector<obs::TraceEvent> decisions;
+};
+
+TEST_F(SchedulerTest, AdmissionFromLedgerSumsMatchesTheVectorPath) {
+  // The scheduler admits from running Eq. 12-14 sums kept beside its slot
+  // ledger. Every decision must equal AdmissionControl's vector path over
+  // an independent list of the slot holders (active, pending and
+  // non-destructively paused; not destructively paused, not cache tenants,
+  // not finished): accept or reject, the existing count, n_max and the k
+  // schedule. Random audio, video and recording requests come and go
+  // through pauses of both kinds, resumes, stops and natural completions,
+  // next to cache tenants, one of them revoked.
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 1 << 22});
+  DecisionLog decisions;
+  obs::TeeSink sinks;
+  sinks.Add(&tee_);
+  sinks.Add(&decisions);
+  SchedulerOptions options = Traced();
+  options.trace = &sinks;
+  options.service_order = ServiceOrder::kPlanned;
+  options.block_cache = &cache;
+  options.cache_aware_admission = true;
+  const AdmissionControl admission = MakeAdmission();
+  ServiceScheduler scheduler(&store_, &sim_, admission, options);
+  DecisionLog reference_decisions;
+  AdmissionControl reference = admission;
+  reference.set_trace_sink(&reference_decisions);
+
+  // Enough distinct titles to reach the Eq. 17 ceiling and go on drawing.
+  const int64_t n_max =
+      admission.Analyze({RequestSpec{TestVideo(), VideoPlacement().granularity}}).n_max;
+  std::vector<PlaybackRequest> videos;
+  for (int64_t i = 0; i < n_max + 4; ++i) {
+    videos.push_back(MakePlayback(3.0, 700 + static_cast<uint64_t>(i)));
+  }
+  std::vector<PlaybackRequest> audios;
+  for (int i = 0; i < 3; ++i) {
+    audios.push_back(MakeAudioPlayback(3.0, 730 + i));
+  }
+
+  // The test's own slot table: each request's spec, and whether its pause
+  // (if any) is the test's non-destructive one. A paused request without
+  // that mark paused destructively, by the test or by a revocation.
+  struct Tracked {
+    RequestSpec spec;
+    bool held_pause = false;
+  };
+  std::map<RequestId, Tracked> tracked;
+  const auto slot_holders = [&] {
+    std::vector<RequestSpec> specs;
+    for (const auto& [id, request] : tracked) {
+      const RequestStats stats = *scheduler.stats(id);
+      if (stats.completed || stats.cache_admitted || (stats.paused && !request.held_pause)) {
+        continue;
+      }
+      specs.push_back(request.spec);
+    }
+    return specs;
+  };
+  int64_t tenant_decisions = 0;    // taken while a cache tenant was live
+  int64_t released_decisions = 0;  // taken while a destructive pause was live
+  const auto count_context = [&] {
+    bool tenant = false;
+    bool released = false;
+    for (const auto& [id, request] : tracked) {
+      const RequestStats stats = *scheduler.stats(id);
+      tenant = tenant || (!stats.completed && stats.cache_admitted);
+      released = released || (!stats.completed && stats.paused && !request.held_pause);
+    }
+    tenant_decisions += tenant ? 1 : 0;
+    released_decisions += released ? 1 : 0;
+  };
+  // Runs one admission-checked call and compares its single decision with
+  // the vector path's over the slot holders at call time.
+  const auto decide = [&](const RequestSpec& candidate, const auto& call) {
+    const std::vector<RequestSpec> existing = slot_holders();
+    const int64_t k = scheduler.current_k();
+    count_context();
+    const size_t before = decisions.decisions.size();
+    const auto result = call();
+    EXPECT_EQ(decisions.decisions.size(), before + 1);
+    if (decisions.decisions.size() != before + 1) {
+      return result;
+    }
+    const obs::TraceEvent& got = decisions.decisions.back();
+    Result<std::vector<int64_t>> expected = reference.PlanAdmission(existing, candidate, k);
+    const obs::TraceEvent& want = reference_decisions.decisions.back();
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.existing, static_cast<int64_t>(existing.size()));
+    EXPECT_EQ(got.existing, want.existing);
+    EXPECT_EQ(got.n_max, want.n_max);
+    EXPECT_EQ(got.k, k);
+    EXPECT_EQ(got.target_k, want.target_k);
+    EXPECT_EQ(got.detail, want.detail);
+    if (expected.ok() && got.kind == obs::TraceEventKind::kAdmissionPlan) {
+      // The schedule is {k} when k already covers the set, else every k
+      // from k + 1 to the traced target.
+      std::vector<int64_t> schedule;
+      for (int64_t step = k + 1; step <= got.target_k; ++step) {
+        schedule.push_back(step);
+      }
+      if (schedule.empty()) {
+        schedule.push_back(k);
+      }
+      EXPECT_EQ(schedule, *expected);
+    }
+    return result;
+  };
+  const auto submit = [&](PlaybackRequest request) {
+    const RequestSpec spec = request.spec;
+    Result<RequestId> id =
+        decide(spec, [&] { return scheduler.SubmitPlayback(std::move(request)); });
+    if (id.ok()) {
+      tracked[*id] = Tracked{spec};
+    }
+    return id;
+  };
+  const auto submit_recording = [&](bool audio, int64_t blocks) {
+    RecordingRequest request;
+    request.profile = audio ? TestAudio() : TestVideo();
+    request.placement = audio ? StrandPlacement{512, 0.0, 0.1} : VideoPlacement();
+    request.total_blocks = blocks;
+    const RequestSpec spec = request.Spec();
+    Result<RequestId> id = decide(spec, [&] { return scheduler.SubmitRecording(request); });
+    if (id.ok()) {
+      tracked[*id] = Tracked{spec};
+    }
+    return id;
+  };
+  const auto pause = [&](RequestId id, bool destructive) {
+    const bool tenant = scheduler.stats(id)->cache_admitted;
+    const int64_t k = scheduler.current_k();
+    ASSERT_TRUE(scheduler.Pause(id, destructive).ok());
+    tracked[id].held_pause = !destructive;
+    if (destructive && !tenant) {
+      // The released slot lets k settle to the remaining holders' Eq. 18 k.
+      Result<int64_t> settled = reference.TransientSafeBlocksPerRound(slot_holders());
+      EXPECT_EQ(scheduler.current_k(), settled.ok() ? std::min(k, *settled) : k);
+    } else {
+      EXPECT_EQ(scheduler.current_k(), k);
+    }
+  };
+  const auto resume = [&](RequestId id) {
+    if (tracked[id].held_pause) {
+      ASSERT_TRUE(scheduler.Resume(id).ok());
+      tracked[id].held_pause = false;
+      return;
+    }
+    decide(tracked[id].spec, [&] { return scheduler.Resume(id); });
+  };
+
+  // A leader, then distinct-strand fillers up to the Eq. 17 ceiling.
+  Result<RequestId> leader = submit(videos[0]);
+  ASSERT_TRUE(leader.ok());
+  size_t next_video = 1;
+  while (submit(videos[next_video]).ok()) {
+    ASSERT_LT(++next_video, videos.size()) << "never reached the admission ceiling";
+  }
+  ++next_video;
+  // A lockstep viewer of the leader's strand comes in as a cache tenant;
+  // later admissions must not charge it.
+  Result<RequestId> tenant = submit(videos[0]);
+  ASSERT_TRUE(tenant.ok());
+  ASSERT_TRUE(scheduler.stats(*tenant)->cache_admitted);
+  submit(videos[next_video++]);
+  sim_.RunUntil(SecondsToUsec(0.5));
+  // A destructive pause releases a slot: the next admissions see one fewer.
+  pause(*leader + 1, /*destructive=*/true);
+  submit(audios[0]);
+  submit(videos[next_video++]);
+  // The leader stops: the tenant's coverage collapses and it is revoked.
+  ASSERT_TRUE(scheduler.Stop(*leader).ok());
+  int guard = 0;
+  while (!scheduler.stats(*tenant)->paused && !scheduler.stats(*tenant)->completed) {
+    ASSERT_LT(++guard, 1000) << "tenant neither revoked nor completed";
+    sim_.RunUntil(sim_.Now() + 50'000);
+  }
+  ASSERT_TRUE(scheduler.stats(*tenant)->paused);
+
+  // Random traffic. Each submission draws a strand at random, so lockstep
+  // viewers of a live strand (cache tenants past the ceiling) recur.
+  Prng prng(0xAD3155);
+  const auto pick = [&](bool want_paused) -> RequestId {
+    std::vector<RequestId> candidates;
+    for (const auto& [id, request] : tracked) {
+      const RequestStats stats = *scheduler.stats(id);
+      if (!stats.completed && stats.paused == want_paused) {
+        candidates.push_back(id);
+      }
+    }
+    return candidates.empty() ? 0 : candidates[prng.NextBelow(candidates.size())];
+  };
+  for (int op = 0; op < 200; ++op) {
+    const uint64_t roll = prng.NextBelow(100);
+    if (roll < 40) {
+      submit(prng.NextBelow(4) == 0 ? audios[prng.NextBelow(audios.size())]
+                                    : videos[prng.NextBelow(videos.size())]);
+    } else if (roll < 48) {
+      submit_recording(prng.NextBelow(2) == 0, 4 + static_cast<int64_t>(prng.NextBelow(12)));
+    } else if (roll < 60) {
+      if (const RequestId id = pick(/*want_paused=*/false); id != 0) {
+        pause(id, /*destructive=*/prng.NextBelow(2) == 0);
+      }
+    } else if (roll < 72) {
+      if (const RequestId id = pick(/*want_paused=*/true); id != 0) {
+        resume(id);
+      }
+    } else if (roll < 76) {
+      if (const RequestId id = pick(/*want_paused=*/false); id != 0) {
+        ASSERT_TRUE(scheduler.Stop(id).ok());
+      }
+    } else {
+      sim_.RunUntil(sim_.Now() + static_cast<SimTime>(prng.NextBelow(400'000)));
+    }
+  }
+  for (const auto& [id, request] : tracked) {
+    if (scheduler.stats(id)->paused) {
+      ASSERT_TRUE(scheduler.Stop(id).ok());
+    }
+  }
+  scheduler.RunUntilIdle();
+
+  int64_t accepted = 0;
+  int64_t rejected = 0;
+  for (const obs::TraceEvent& event : decisions.decisions) {
+    (event.kind == obs::TraceEventKind::kAdmissionPlan ? accepted : rejected) += 1;
+  }
+  EXPECT_GT(accepted, 20);
+  EXPECT_GT(rejected, 5);
+  EXPECT_GT(tenant_decisions, 0);
+  EXPECT_GT(released_decisions, 0);
+  int64_t completions = 0;
+  for (const auto& [id, request] : tracked) {
+    const RequestStats stats = *scheduler.stats(id);
+    completions += stats.completed && stats.blocks_done == stats.blocks_total ? 1 : 0;
+  }
+  EXPECT_GT(completions, 0);
+}
+
+// Eviction-bias fixture: a small cache (14 blocks) under the pressure of
+// three distinct-strand fillers, whose fills are plain entries. Survivors
+// are read between rounds (one simulator event each) with Contains.
+class EvictionBiasTest : public SchedulerTest {
+ protected:
+  static constexpr int64_t kCacheBlocks = 14;
+
+  EvictionBiasTest() {
+    for (int i = 0; i < 3; ++i) {
+      fillers_.push_back(MakePlayback(4.0, 800 + i));
+    }
+    const int64_t block_bytes = fillers_[0].blocks[0].sector_count * disk_.bytes_per_sector();
+    cache_ = std::make_unique<BlockCache>(
+        BlockCacheOptions{.capacity_bytes = kCacheBlocks * block_bytes});
+    SchedulerOptions options = Traced();
+    options.service_order = ServiceOrder::kPlanned;
+    options.block_cache = cache_.get();
+    scheduler_ = std::make_unique<ServiceScheduler>(&store_, &sim_, MakeAdmission(), options);
+  }
+
+  RequestId Submit(PlaybackRequest request) {
+    request.read_ahead_blocks = 1;  // unpin prelude pages after one block
+    Result<RequestId> id = scheduler_->SubmitPlayback(std::move(request));
+    EXPECT_TRUE(id.ok());
+    return id.ok() ? *id : 0;
+  }
+  void SubmitFillers() {
+    for (const PlaybackRequest& filler : fillers_) {
+      Submit(filler);
+    }
+  }
+  int64_t Done(RequestId id) const { return scheduler_->stats(id)->blocks_done; }
+  bool Resident(const PlaybackRequest& request, int64_t block) const {
+    const PrimaryEntry& entry = request.blocks[static_cast<size_t>(block)];
+    return cache_->Contains(entry.sector, entry.sector_count);
+  }
+
+  std::vector<PlaybackRequest> fillers_;
+  std::unique_ptr<BlockCache> cache_;
+  std::unique_ptr<ServiceScheduler> scheduler_;
+};
+
+TEST_F(EvictionBiasTest, LeadersFillsOutliveItsTrailersWindow) {
+  // Two viewers of one title, 4 blocks apart: every block the leader reads
+  // sits in the trailer's window, so its entry is biased and outlives the
+  // fillers' plain entries until the trailer has read it.
+  const PlaybackRequest title = MakePlayback(4.0, 820);
+  const RequestId leader = Submit(title);
+  SubmitFillers();
+  while (Done(leader) < 4) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  const RequestId trailer = Submit(title);
+  int64_t first_biased = -1;
+  int64_t checked = 0;
+  int64_t filler_gap_evicted = 0;
+  while (!scheduler_->stats(leader)->completed && sim_.Step()) {
+    if (first_biased < 0) {
+      // From the trailer's activation on, the leader's reads fall in its window.
+      if (scheduler_->stats(trailer)->start_time >= 0) {
+        first_biased = Done(leader);
+      }
+      continue;
+    }
+    for (int64_t b = std::max(first_biased, Done(trailer)); b < Done(leader); ++b) {
+      EXPECT_TRUE(Resident(title, b)) << "block " << b << " evicted before the trailer read it";
+      ++checked;
+    }
+    // A filler's fills of the same age are plain: some are gone already.
+    const RequestId filler = trailer - 1;
+    const int64_t filler_done = Done(filler);
+    for (int64_t b = std::max<int64_t>(filler_done - (Done(leader) - Done(trailer)), 0);
+         b < filler_done; ++b) {
+      filler_gap_evicted += Resident(fillers_.back(), b) ? 0 : 1;
+    }
+  }
+  EXPECT_GT(checked, 40);
+  EXPECT_GT(filler_gap_evicted, 0);
+  EXPECT_GT(cache_->stats().evictions, 0);
+  scheduler_->RunUntilIdle();
+}
+
+TEST_F(EvictionBiasTest, LoneViewersFillsLeaveBeforeAnInterval) {
+  // A lone viewer's blocks are in its own window once, so its fills are
+  // plain: under pressure its newest fill leaves the cache while an older
+  // interval, which a trailer has yet to read, stays resident.
+  const PlaybackRequest lone_title = MakePlayback(4.0, 821);
+  const PlaybackRequest shared_title = MakePlayback(4.0, 823);
+  const RequestId leader = Submit(shared_title);
+  const RequestId lone = Submit(lone_title);
+  Submit(fillers_[0]);
+  Submit(fillers_[1]);
+  while (Done(leader) < 4) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  const RequestId trailer = Submit(shared_title);
+  int64_t first_biased = -1;
+  int64_t lone_fill_gone = 0;
+  while (!scheduler_->stats(leader)->completed && !scheduler_->stats(lone)->completed &&
+         sim_.Step()) {
+    if (first_biased < 0) {
+      if (scheduler_->stats(trailer)->start_time >= 0) {
+        first_biased = Done(leader);
+      }
+      continue;
+    }
+    const int64_t interval_begin = std::max(first_biased, Done(trailer));
+    bool interval_kept = interval_begin < Done(leader);
+    for (int64_t b = interval_begin; b < Done(leader); ++b) {
+      interval_kept = interval_kept && Resident(shared_title, b);
+    }
+    if (interval_kept && Done(lone) > 1 && !Resident(lone_title, Done(lone) - 1)) {
+      ++lone_fill_gone;
+    }
+  }
+  EXPECT_GT(lone_fill_gone, 0);
+  scheduler_->RunUntilIdle();
+}
+
+TEST_F(EvictionBiasTest, RepeatedClipInOneWindowCountsTwice) {
+  // A rope that plays a 3-block clip, 2 other blocks, then the clip again:
+  // the viewer's window holds each clip block twice when it first reads
+  // it, which biases the fill though no other stream shares the title. The
+  // clip outlives the plain fills read after it, up to its second play.
+  const PlaybackRequest title = MakePlayback(4.0, 822);
+  constexpr int64_t kClip = 12;  // the clip starts once the rotation is steady
+  PlaybackRequest rope = title;
+  rope.blocks.assign(title.blocks.begin(), title.blocks.begin() + kClip + 5);
+  rope.blocks.insert(rope.blocks.end(), title.blocks.begin() + kClip,
+                     title.blocks.begin() + kClip + 3);
+  rope.blocks.insert(rope.blocks.end(), title.blocks.begin() + kClip + 5, title.blocks.end());
+  const RequestId viewer = Submit(rope);
+  SubmitFillers();
+  int64_t checked = 0;
+  while (Done(viewer) <= kClip + 5 && sim_.Step()) {
+    for (int64_t b = kClip; b < std::min(Done(viewer), kClip + 3); ++b) {
+      EXPECT_TRUE(Resident(rope, b)) << "clip block " << b << " evicted before its repeat";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 3);
+  EXPECT_GT(cache_->stats().evictions, 0);
+  scheduler_->RunUntilIdle();
 }
 
 TEST_F(SchedulerTest, EmptyRequestsRejected) {
