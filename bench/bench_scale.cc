@@ -3,19 +3,14 @@
 //
 // The paper sizes rounds so a server admits the hardware's maximum stream
 // count; this bench proves the *implementation* keeps up when that count
-// is tens of thousands (DESIGN.md section 15). Two parts:
-//
-//   sweep   One node, planned rounds + block cache + session layer, a
-//           fixed Zipf viewer population per size (a flash-crowd slice
-//           arrives through OpenSession and batches/merges; the rest are
-//           solo physical streams). Reports wall-clock rounds/sec and the
-//           wall cost per served stream-round (one kRequestServiced event;
-//           the near-linear-scaling criterion: 50k within 5x of 1k). The
-//           trace, SLO and audit digests are deterministic and regression-
-//           gated against bench/baselines/.
-//
-//   waves   The planned-round array path at 5k streams over 8 members:
-//           every round dispatches its C-SCAN member queues as waves.
+// is tens of thousands (DESIGN.md section 15). One sweep: one node,
+// planned rounds + block cache + session layer, a fixed Zipf viewer
+// population per size (a flash-crowd slice arrives through OpenSession and
+// batches/merges; the rest are solo physical streams). Reports wall-clock
+// rounds/sec and the wall cost per served stream-round (one
+// kRequestServiced event; the near-linear-scaling criterion: 50k within 5x
+// of 1k). The trace, SLO and audit digests are deterministic and
+// regression-gated against bench/baselines/.
 //
 // tools/check_scale.py gates that every sweep size ran once and executed
 // rounds (hard) and near-linear scaling (advisory). CI publishes
@@ -26,13 +21,11 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_support.h"
-#include "src/disk/disk_array.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
@@ -54,7 +47,6 @@ constexpr double kArrivalWindowSec = 0.2;
 // while every round still carries the full population.
 constexpr double kSweepHorizonSec = 8.0;
 constexpr int64_t kSweepSizes[] = {1000, 5000, 20000, 50000};
-constexpr int64_t kWavesViewers = 5000;
 
 // FNV-1a fold of every rendered trace event (order-sensitive, unbounded
 // stream, no retention), plus the served stream-round count: one
@@ -223,109 +215,6 @@ ScaleOutcome RunSweep(int64_t viewers) {
   return outcome;
 }
 
-// Seek-dominated member geometry (as in bench_wallclock).
-DiskParameters WaveDisk() {
-  DiskParameters params;
-  params.cylinders = 5000;
-  params.surfaces = 16;
-  params.sectors_per_track = 256;
-  params.rpm = 15000.0;
-  params.min_seek_ms = 5.0;
-  params.max_seek_ms = 50.0;
-  return params;
-}
-
-// Planned rounds at `viewers` streams over an 8-member array: every
-// round's reads dispatch as member waves.
-ScaleOutcome RunWaves(int64_t viewers) {
-  const MediaProfile video = UvcCompressedVideo();
-  Disk disk(WaveDisk(), DiskOptions{.retain_data = false});
-  StrandStore store(&disk);
-  const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
-  ContinuityModel model(storage, UvcDisplay());
-  const StrandPlacement placement =
-      *model.DerivePlacement(RetrievalArchitecture::kPipelined, video);
-
-  // A small catalog of short strands, viewers spread across them: extents
-  // repeat, so dedup + cache see real sharing while the request table
-  // holds `viewers` live entries.
-  constexpr int kStrands = 32;
-  const int64_t blocks_per_stream =
-      static_cast<int64_t>(2.0 * video.units_per_sec) / placement.granularity;
-  const std::vector<uint8_t> payload(
-      static_cast<size_t>(placement.granularity * video.bits_per_unit / 8), 0xA5);
-  std::vector<std::vector<PrimaryEntry>> strands;
-  for (int s = 0; s < kStrands; ++s) {
-    Result<std::unique_ptr<StrandWriter>> writer = store.CreateStrand(video, placement);
-    (*writer)->SetAllocationHint(s * (disk.total_sectors() / kStrands));
-    for (int64_t b = 0; b < blocks_per_stream; ++b) {
-      (void)(*writer)->AppendBlock(payload);
-    }
-    const StrandId id = *(*writer)->Finish(blocks_per_stream * placement.granularity);
-    const Strand* strand = *store.Get(id);
-    std::vector<PrimaryEntry> blocks;
-    for (int64_t b = 0; b < strand->block_count(); ++b) {
-      blocks.push_back(*strand->index().Lookup(b));
-    }
-    strands.push_back(std::move(blocks));
-  }
-
-  DiskArray array(WaveDisk(), 8);
-  BlockCache cache(BlockCacheOptions{.capacity_bytes = 8 << 20});
-
-  Simulator sim;
-  TraceDigest trace;
-  obs::SloTracker slo;
-  obs::TeeSink tee;
-  tee.Add(&trace);
-  tee.Add(&slo);
-  SchedulerOptions options;
-  options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
-  options.forced_k = 1;  // admit everyone at k = 1
-  options.batch_activation = true;
-  options.block_cache = &cache;
-  options.trace = &tee;
-  ServiceScheduler scheduler(&store, &sim, AdmissionControl(storage, store.AverageScatteringSec()),
-                             options);
-
-  ScaleOutcome outcome;
-  outcome.part = "waves";
-  outcome.viewers = viewers;
-  for (int64_t v = 0; v < viewers; ++v) {
-    PlaybackRequest request;
-    request.blocks = strands[static_cast<size_t>(v % kStrands)];
-    request.block_duration =
-        SecondsToUsec(static_cast<double>(placement.granularity) / video.units_per_sec);
-    request.spec = RequestSpec{video, placement.granularity};
-    if (scheduler.SubmitPlayback(std::move(request)).ok()) {
-      ++outcome.admitted;
-    }
-  }
-
-  const auto start = std::chrono::steady_clock::now();
-  scheduler.RunUntilIdle();
-  const auto stop = std::chrono::steady_clock::now();
-
-  outcome.wall_sec = std::chrono::duration<double>(stop - start).count();
-  outcome.rounds = scheduler.rounds_executed();
-  outcome.rounds_per_sec =
-      outcome.wall_sec > 0.0 ? static_cast<double>(outcome.rounds) / outcome.wall_sec : 0.0;
-  outcome.served_stream_rounds = trace.served();
-  outcome.stream_round_cost_wall_sec =
-      outcome.served_stream_rounds > 0
-          ? outcome.wall_sec * 1e6 / static_cast<double>(outcome.served_stream_rounds)
-          : 0.0;
-  outcome.trace_digest = trace.digest();
-  outcome.trace_events = trace.events();
-  outcome.slo_digest = FnvOf(slo.Report().ToJson());
-  outcome.completion = sim.Now();
-  outcome.pool_created = cache.page_pool().pages_created();
-  outcome.pool_recycled = cache.page_pool().pages_recycled();
-  outcome.pool_outstanding = cache.page_pool().pages_outstanding();
-  return outcome;
-}
-
 void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
   const char* path = "BENCH_scale_metrics.json";
   std::FILE* file = std::fopen(path, "w");
@@ -389,8 +278,6 @@ void PrintScaleTables() {
     std::fprintf(stderr, "sweep %lld...\n", static_cast<long long>(viewers));
     outcomes.push_back(RunSweep(viewers));
   }
-  std::fprintf(stderr, "waves %lld...\n", static_cast<long long>(kWavesViewers));
-  outcomes.push_back(RunWaves(kWavesViewers));
 
   std::printf("%6s | %7s | %9s | %7s | %10s | %11s | %11s | %16s\n", "part", "viewers",
               "wall (s)", "rounds", "served", "rounds/sec", "us/strm-rnd", "trace digest");

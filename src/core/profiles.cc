@@ -10,10 +10,4 @@ StorageTimings StorageTimings::FromDiskModel(const DiskModel& model) {
   return timings;
 }
 
-StorageTimings StorageTimings::FromDiskModelArray(const DiskModel& member_model, int members) {
-  StorageTimings timings = FromDiskModel(member_model);
-  timings.transfer_rate_bits_per_sec *= static_cast<double>(members);
-  return timings;
-}
-
 }  // namespace vafs

@@ -49,11 +49,6 @@ struct StorageTimings {
 
   // Extracts the timing figures from a disk model.
   static StorageTimings FromDiskModel(const DiskModel& model);
-
-  // Aggregate timings for an array of `members` such disks operated
-  // concurrently (used by the HDTV feasibility bench): positioning costs
-  // are per-member, bandwidth scales with the member count.
-  static StorageTimings FromDiskModelArray(const DiskModel& member_model, int members);
 };
 
 }  // namespace vafs

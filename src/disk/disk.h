@@ -97,8 +97,8 @@ class Disk {
   SimDuration PeekServiceTime(int64_t start_sector, int64_t sectors) const;
 
   // Whole-device failure: while failed, every operation returns kIoError
-  // immediately (no mechanical time is consumed). DiskArray uses this to
-  // model the loss of one array member.
+  // immediately (no mechanical time is consumed). A failed DiskArray
+  // member models the loss of one array member.
   void set_failed(bool failed) { failed_ = failed; }
   bool failed() const { return failed_; }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <span>
 #include <string>
 #include <utility>
 
@@ -45,20 +44,6 @@ Status DiskArray::ValidateBatch(const std::vector<BatchRequest>& batch) const {
   return Status::Ok();
 }
 
-void DiskArray::RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
-                           BatchOutcome* outcome) const {
-  MemberOutcome fate;
-  if (service.ok()) {
-    fate.service = *service;
-  } else {
-    // A faulted arm still moved: its mechanism time counts toward the wave.
-    fate.status = service.status();
-    fate.service = disks_[static_cast<size_t>(request.member)]->last_fault_service();
-  }
-  outcome->completion_time = std::max(outcome->completion_time, fate.service);
-  outcome->per_request.push_back(std::move(fate));
-}
-
 Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequest>& batch,
                                                      std::vector<std::vector<uint8_t>>* out) {
   if (Status status = ValidateBatch(batch); !status.ok()) {
@@ -71,36 +56,21 @@ Result<DiskArray::BatchOutcome> DiskArray::ReadBatch(const std::vector<BatchRequ
   outcome.per_request.reserve(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     const BatchRequest& request = batch[i];
-    const Result<SimDuration> service = member(request.member).Read(
-        request.start_sector, request.sectors, out != nullptr ? &(*out)[i] : nullptr);
-    RecordFate(request, service, &outcome);
-  }
-  return outcome;
-}
-
-Result<DiskArray::BatchOutcome> DiskArray::WriteBatch(const std::vector<BatchRequest>& batch,
-                                                      const std::vector<std::vector<uint8_t>>& data) {
-  if (Status status = ValidateBatch(batch); !status.ok()) {
-    return status;
-  }
-  if (!data.empty() && data.size() != batch.size()) {
-    return Status(ErrorCode::kInvalidArgument, "payload count does not match batch size");
-  }
-  BatchOutcome outcome;
-  outcome.per_request.reserve(batch.size());
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const BatchRequest& request = batch[i];
-    const std::span<const uint8_t> payload =
-        data.empty() ? std::span<const uint8_t>() : std::span<const uint8_t>(data[i]);
+    Disk& disk = member(request.member);
     const Result<SimDuration> service =
-        member(request.member).Write(request.start_sector, request.sectors, payload);
-    RecordFate(request, service, &outcome);
+        disk.Read(request.start_sector, request.sectors, out != nullptr ? &(*out)[i] : nullptr);
+    MemberOutcome fate;
+    if (service.ok()) {
+      fate.service = *service;
+    } else {
+      // A faulted arm still moved: its mechanism time counts toward the batch.
+      fate.status = service.status();
+      fate.service = disk.last_fault_service();
+    }
+    outcome.completion_time = std::max(outcome.completion_time, fate.service);
+    outcome.per_request.push_back(std::move(fate));
   }
   return outcome;
-}
-
-double DiskArray::AggregateTransferRateBitsPerSec() const {
-  return static_cast<double>(members()) * member_model().TransferRateBitsPerSec();
 }
 
 }  // namespace vafs

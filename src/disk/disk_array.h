@@ -9,17 +9,18 @@
 //
 // Fault behaviour: a batch is issued to every member even when some of
 // them fault — the members run in parallel, so one bad platter cannot call
-// the others off. ReadBatch/WriteBatch therefore report a per-request
-// BatchOutcome instead of aborting on the first member error; only
-// malformed batches (unknown member, two requests on one member) fail the
-// call as a whole. Member fault schedules are decorrelated by deriving
-// each member's injector seed from the array seed and the member index.
+// the others off. ReadBatch therefore reports a per-request BatchOutcome
+// instead of aborting on the first member error; only malformed batches
+// (unknown member, two requests on one member) fail the call as a whole.
+// A dead member is one whose Disk is set_failed. Member fault schedules
+// are decorrelated by deriving each member's injector seed from the array
+// seed and the member index.
 //
 // Host execution: the requests of a batch are simulated one after another
 // in batch order on the caller's thread, and completion_time is the max
 // over members (Eq. 11), not the sum. Wall-clock parallelism lives one
 // level up, at the grain of whole cluster nodes (DESIGN.md section 12):
-// one wave is microseconds of simulated disk work, too fine to amortize a
+// one batch is microseconds of simulated disk work, too fine to amortize a
 // barrier.
 
 #ifndef VAFS_SRC_DISK_DISK_ARRAY_H_
@@ -69,24 +70,6 @@ class DiskArray {
     // done until the slowest arm stops, successful or not.
     SimDuration completion_time = 0;
     std::vector<MemberOutcome> per_request;  // one entry per batch request
-
-    bool AllOk() const {
-      for (const MemberOutcome& outcome : per_request) {
-        if (!outcome.status.ok()) {
-          return false;
-        }
-      }
-      return true;
-    }
-    int64_t FailedCount() const {
-      int64_t failed = 0;
-      for (const MemberOutcome& outcome : per_request) {
-        if (!outcome.status.ok()) {
-          ++failed;
-        }
-      }
-      return failed;
-    }
   };
 
   // Issues the batch concurrently (at most one request per member). Every
@@ -96,32 +79,11 @@ class DiskArray {
   Result<BatchOutcome> ReadBatch(const std::vector<BatchRequest>& batch,
                                  std::vector<std::vector<uint8_t>>* out);
 
-  // Parallel write counterpart; `data[i]` is the payload of request i.
-  Result<BatchOutcome> WriteBatch(const std::vector<BatchRequest>& batch,
-                                  const std::vector<std::vector<uint8_t>>& data);
-
-  // Whole-member failure (e.g. a dead spindle). While failed, every
-  // request routed to the member returns kIoError with zero service time.
-  void FailMember(int index) { member(index).set_failed(true); }
-  void ReviveMember(int index) { member(index).set_failed(false); }
-  bool member_failed(int index) { return member(index).failed(); }
-
-  // Aggregate transfer rate (members * per-member R_dt), the figure the
-  // paper's HDTV feasibility argument sweeps.
-  double AggregateTransferRateBitsPerSec() const;
-
  private:
   // One arm serves one request at a time: two requests on one member are
   // not concurrent, so they cannot share a batch. Callers with deeper
-  // queues (the scheduler's C-SCAN member queues) issue one wave per queue
-  // depth instead.
+  // queues split them across batches.
   Status ValidateBatch(const std::vector<BatchRequest>& batch) const;
-
-  // Appends one request's fate to `outcome` (for a faulted request, the
-  // mechanical time its arm spent) and folds completion_time = max over
-  // members.
-  void RecordFate(const BatchRequest& request, const Result<SimDuration>& service,
-                  BatchOutcome* outcome) const;
 
   std::vector<std::unique_ptr<Disk>> disks_;
 };

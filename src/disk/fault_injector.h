@@ -9,8 +9,8 @@
 //    the next attempt may succeed);
 //  - latent bad-sector ranges: media defects. Every operation touching a
 //    marked range fails deterministically until the data is relocated;
-//  - whole-device failure: the disk stops answering (DiskArray uses this
-//    to model the loss of one array member);
+//  - whole-device failure: the disk stops answering (a failed DiskArray
+//    member models the loss of one array member);
 //  - power cuts: the device dies after a scheduled number of sectors has
 //    been written. A cut landing mid-write leaves only a prefix of the
 //    data on the platter — or, with torn writes enabled, an interleaved
@@ -65,8 +65,6 @@ struct FaultOptions {
   // sectors (an interleaved shred — what a drive without atomic multi-
   // sector writes can leave behind).
   bool torn_writes = false;
-
-  bool AnyTransient() const { return read_fault_rate > 0.0 || write_fault_rate > 0.0; }
 };
 
 // The injector's ruling on how much of one write survives a power cut.

@@ -14,23 +14,17 @@ std::pair<int, int64_t> ScanKey(int64_t cylinder, int64_t head_cylinder) {
   return {cylinder >= head_cylinder ? 0 : 1, cylinder};
 }
 
-int64_t HeadFor(const std::vector<int64_t>& head_cylinders, int member) {
-  return member < static_cast<int>(head_cylinders.size())
-             ? head_cylinders[static_cast<size_t>(member)]
-             : 0;
-}
-
 }  // namespace
 
-RoundPlan BuildRoundPlan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                         int array_members, const std::vector<PlanInput>& inputs) {
+RoundPlan BuildRoundPlan(const DiskModel& model, int64_t head_cylinder,
+                         const std::vector<PlanInput>& inputs) {
   RoundPlan plan;
-  BuildRoundPlanInto(model, head_cylinders, array_members, inputs, &plan);
+  BuildRoundPlanInto(model, head_cylinder, inputs, &plan);
   return plan;
 }
 
-void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                        int array_members, const std::vector<PlanInput>& inputs, RoundPlan* out) {
+void BuildRoundPlanInto(const DiskModel& model, int64_t head_cylinder,
+                        const std::vector<PlanInput>& inputs, RoundPlan* out) {
   out->transfers.clear();
   out->riders.clear();
   out->data_blocks = 0;
@@ -38,7 +32,6 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
   out->read_transfers = 0;
   out->coalesced_blocks = 0;
   out->deduped_blocks = 0;
-  const int members = std::max(array_members, 1);
 
   // Build-phase transfer: geometry plus its own rider list (the flat arena
   // is only filled once the dispatch order is final).
@@ -48,8 +41,8 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
   };
 
   // Per-request coalescing: a run of consecutive non-silence candidates
-  // whose extents abut on the same member becomes one transfer. Silence
-  // breaks the run even when the flanking extents are contiguous.
+  // whose extents abut becomes one transfer. Silence breaks the run even
+  // when the flanking extents are contiguous.
   std::vector<Build> reads;
   int32_t slot = 0;
   for (const PlanInput& input : inputs) {
@@ -67,10 +60,9 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
         run_broken = true;  // the round skips this extent; the run ends
         continue;
       }
-      const int member = members > 1 ? static_cast<int>(candidate.ordinal % members) : 0;
       PlannedBlock block{input.request, candidate.ordinal, candidate.sector, candidate.sectors,
                          this_slot};
-      if (!run_broken && run != nullptr && run->transfer.member == member &&
+      if (!run_broken && run != nullptr &&
           run->transfer.start_sector + run->transfer.sectors == candidate.sector) {
         run->transfer.sectors += candidate.sectors;
         run->riders.push_back(block);
@@ -80,7 +72,6 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
       Build build;
       build.transfer.start_sector = candidate.sector;
       build.transfer.sectors = candidate.sectors;
-      build.transfer.member = member;
       build.riders.push_back(block);
       reads.push_back(std::move(build));
       run = &reads.back();
@@ -92,7 +83,6 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
       append.transfer.append_request = input.request;
       append.transfer.append_blocks = input.append_blocks;
       append.transfer.start_sector = std::max<int64_t>(input.append_position_sector, 0);
-      append.transfer.member = 0;  // appends go to the primary spindle
       reads.push_back(std::move(append));
     }
   }
@@ -118,14 +108,10 @@ void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head
     unique.push_back(std::move(build));
   }
 
-  // C-SCAN per member queue, from that member's current arm cylinder.
+  // C-SCAN from the arm's current cylinder.
   std::stable_sort(unique.begin(), unique.end(), [&](const Build& a, const Build& b) {
-    if (a.transfer.member != b.transfer.member) {
-      return a.transfer.member < b.transfer.member;
-    }
-    const int64_t head = HeadFor(head_cylinders, a.transfer.member);
-    const auto ka = ScanKey(model.SectorToCylinder(a.transfer.start_sector), head);
-    const auto kb = ScanKey(model.SectorToCylinder(b.transfer.start_sector), head);
+    const auto ka = ScanKey(model.SectorToCylinder(a.transfer.start_sector), head_cylinder);
+    const auto kb = ScanKey(model.SectorToCylinder(b.transfer.start_sector), head_cylinder);
     if (ka != kb) {
       return ka < kb;
     }

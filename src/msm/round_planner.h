@@ -22,21 +22,18 @@
 //     once past the outermost requested cylinder. This replaces the
 //     per-request kSeekScan sort: ordering per transfer, not per stream.
 //
-// With a disk array, each transfer is routed to the member holding its
-// block (round-robin by block ordinal, DiskArray::MemberForBlock) and each
-// member queue is C-SCAN-ordered independently; the scheduler dispatches
-// one wave per queue depth via ReadBatch, completing at the slowest arm.
-//
-// The planner is pure: it consumes per-request candidate lists and arm
-// positions and returns the transfer program. All mechanism (disk calls,
+// The planner is pure: it consumes per-request candidate lists and the
+// arm position and returns the transfer program. All mechanism (disk calls,
 // retries, readiness reporting, cache fills) stays in the scheduler, so
 // ordering and merging rules are unit-testable without a simulation.
 //
 // Scale note (DESIGN.md section 15): riders live in one flat arena
 // (RoundPlan::riders) addressed by [rider_begin, rider_begin+rider_count)
 // per transfer. The scheduler plans every round from scratch into one
-// RoundPlan it owns (BuildRoundPlanInto), so a 20k-stream round allocates
-// nothing per transfer once the arena has warmed up.
+// RoundPlan it owns (BuildRoundPlanInto), so the output's transfer and
+// rider arenas are reused once warm. The build phase is not: every round
+// it allocates one rider vector per transfer, one map node per distinct
+// extent and its own transfer lists.
 
 #ifndef VAFS_SRC_MSM_ROUND_PLANNER_H_
 #define VAFS_SRC_MSM_ROUND_PLANNER_H_
@@ -88,7 +85,6 @@ struct PlannedTransfer {
   // RoundPlan::riders at [rider_begin, rider_begin + rider_count).
   int64_t start_sector = 0;
   int64_t sectors = 0;
-  int member = 0;  // disk-array member; 0 on a single disk
   uint32_t rider_begin = 0;
   uint32_t rider_count = 0;
   // Appends: the recording request and its block count.
@@ -97,8 +93,8 @@ struct PlannedTransfer {
 };
 
 struct RoundPlan {
-  // Dispatch order: C-SCAN within each member, members interleaved by
-  // queue position (the scheduler groups one wave per position).
+  // Dispatch order: C-SCAN from the arm's cylinder, appends at their
+  // expected arm positions.
   std::vector<PlannedTransfer> transfers;
   // Rider arena: every transfer's blocks, contiguous per transfer. Reused
   // across rounds by BuildRoundPlanInto (clear keeps capacity).
@@ -114,16 +110,15 @@ struct RoundPlan {
   }
 };
 
-// Builds the round's transfer program from scratch. `head_cylinders[m]` is
-// member m's current arm cylinder (one entry for a single disk);
-// `array_members` <= 1 plans for a single spindle.
-RoundPlan BuildRoundPlan(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                         int array_members, const std::vector<PlanInput>& inputs);
+// Builds the round's transfer program from scratch for an arm resting on
+// `head_cylinder`.
+RoundPlan BuildRoundPlan(const DiskModel& model, int64_t head_cylinder,
+                         const std::vector<PlanInput>& inputs);
 
 // Same program, written into `out` so a caller-owned plan's vectors are
 // reused across rounds.
-void BuildRoundPlanInto(const DiskModel& model, const std::vector<int64_t>& head_cylinders,
-                        int array_members, const std::vector<PlanInput>& inputs, RoundPlan* out);
+void BuildRoundPlanInto(const DiskModel& model, int64_t head_cylinder,
+                        const std::vector<PlanInput>& inputs, RoundPlan* out);
 
 }  // namespace vafs
 

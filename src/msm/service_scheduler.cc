@@ -186,7 +186,7 @@ void ServiceScheduler::ChargeStage(obs::SpanStage stage, SimDuration usec) {
   }
 }
 
-void ServiceScheduler::ChargeTransfer(obs::SpanStage stage, Disk* device, SimDuration service) {
+void ServiceScheduler::ChargeTransfer(obs::SpanStage stage, SimDuration service) {
   if (!span_.open || service <= 0) {
     return;
   }
@@ -199,21 +199,20 @@ void ServiceScheduler::ChargeTransfer(obs::SpanStage stage, Disk* device, SimDur
   // The mechanical split: the arm's last reposition (clamped to the
   // service, which also covers rotation and transfer) is seek time; the
   // rest is the stage's own data movement.
+  const Disk& disk = store_->disk();
   const SimDuration seek =
-      std::min(service, device->model().SeekTimeForDistance(device->last_seek_cylinders()));
+      std::min(service, disk.model().SeekTimeForDistance(disk.last_seek_cylinders()));
   span_.active_seek += seek;
   ChargeStage(obs::SpanStage::kSeek, seek);
   ChargeStage(stage, service - seek);
 }
 
-uint64_t ServiceScheduler::OpenTransferSpan(obs::SpanStage stage, uint64_t request,
-                                            int64_t member) {
+uint64_t ServiceScheduler::OpenTransferSpan(obs::SpanStage stage, uint64_t request) {
   if (!span_.open) {
     return 0;
   }
   span_.active_stage = stage;
   span_.active_request = request;
-  span_.active_member = member;
   span_.active_parent = obs::ChildSpanId(span_.root, stage, span_.ordinal++);
   span_.retry_ordinal = 0;
   span_.active_seek = 0;
@@ -222,8 +221,7 @@ uint64_t ServiceScheduler::OpenTransferSpan(obs::SpanStage stage, uint64_t reque
 
 void ServiceScheduler::EmitSpan(obs::SpanStage stage, uint64_t span_id, uint64_t parent,
                                 SimTime end, SimDuration duration, uint64_t request,
-                                int64_t member, SimDuration seek, int64_t blocks,
-                                int64_t sector) {
+                                SimDuration seek, int64_t blocks, int64_t sector) {
   if (!span_.open || span_id == 0 || options_.trace == nullptr) {
     return;
   }
@@ -231,7 +229,6 @@ void ServiceScheduler::EmitSpan(obs::SpanStage stage, uint64_t span_id, uint64_t
   obs::StampSpan(&event, span_.trace_id, span_id, parent, stage);
   event.time = end;
   event.duration = duration;
-  event.member = member;
   event.span_seek = seek;
   event.blocks = blocks;
   event.sector = sector;
@@ -539,24 +536,25 @@ void ServiceScheduler::FinishRequest(ActiveRequest* request, SimTime now) {
   NotifyLifecycle(request->stats.id, LifecycleListener::Lifecycle::kCompleted);
 }
 
-bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
+bool ServiceScheduler::TransferWithRetry(ActiveRequest* request,
                                          const std::function<Result<SimDuration>()>& attempt,
                                          const std::function<SimDuration()>& peek_retry,
                                          int64_t sector, int64_t sectors, SimTime* now,
                                          Status* fail_status) {
+  const Disk& disk = store_->disk();
   Result<SimDuration> service = attempt();
   if (service.ok()) {
-    ChargeTransfer(span_.active_stage, device, *service);
+    ChargeTransfer(span_.active_stage, *service);
     *now += *service;
     return true;
   }
   // The failed attempt still moved the arm; charge its mechanical time.
-  ChargeStage(obs::SpanStage::kRetry, device->last_fault_service());
-  *now += device->last_fault_service();
+  ChargeStage(obs::SpanStage::kRetry, disk.last_fault_service());
+  *now += disk.last_fault_service();
   ++request->stats.faults_seen;
 
   int64_t retries = 0;
-  while (service.status().code() == ErrorCode::kIoError && !device->failed() &&
+  while (service.status().code() == ErrorCode::kIoError && !disk.failed() &&
          retries < kMaxBlockRetries) {
     if (peek_retry != nullptr) {
       // Affordability: after the failed op the arm rests on the extent's
@@ -574,15 +572,14 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
     ++retries;
     service = attempt();
     ++request->stats.blocks_retried;
-    const SimDuration spent = service.ok() ? *service : device->last_fault_service();
+    const SimDuration spent = service.ok() ? *service : disk.last_fault_service();
     ChargeStage(obs::SpanStage::kRetry, spent);
     *now += spent;
     if (span_.open && span_.active_parent != 0) {
       EmitSpan(obs::SpanStage::kRetry,
                obs::ChildSpanId(span_.active_parent, obs::SpanStage::kRetry,
                                 span_.retry_ordinal++),
-               span_.active_parent, *now, spent, request->stats.id, span_.active_member,
-               /*seek=*/0, sectors, sector);
+               span_.active_parent, *now, spent, request->stats.id, /*seek=*/0, sectors, sector);
     }
     if (options_.trace != nullptr) {
       obs::TraceEvent event = TraceContext(obs::TraceEventKind::kBlockRetried, request->stats.id);
@@ -610,12 +607,13 @@ bool ServiceScheduler::TransferWithRetry(ActiveRequest* request, Disk* device,
   return false;
 }
 
-bool ServiceScheduler::ReadWithRetry(ActiveRequest* request, Disk* device, int64_t sector,
-                                     int64_t sectors, SimTime* now, Status* fail_status) {
+bool ServiceScheduler::ReadWithRetry(ActiveRequest* request, int64_t sector, int64_t sectors,
+                                     SimTime* now, Status* fail_status) {
+  Disk* disk = &store_->disk();
   return TransferWithRetry(
-      request, device, [device, sector, sectors] { return device->Read(sector, sectors, nullptr); },
-      [device, sector, sectors] { return device->PeekServiceTime(sector, sectors); }, sector,
-      sectors, now, fail_status);
+      request, [disk, sector, sectors] { return disk->Read(sector, sectors, nullptr); },
+      [disk, sector, sectors] { return disk->PeekServiceTime(sector, sectors); }, sector, sectors,
+      now, fail_status);
 }
 
 void ServiceScheduler::RecordSkip(ActiveRequest* request, SimTime now, int64_t sector,
@@ -691,7 +689,7 @@ int64_t ServiceScheduler::ServicePlayback(ActiveRequest* request, SimTime* now) 
     const PrimaryEntry& entry = playback.blocks[static_cast<size_t>(request->next_block)];
     if (!entry.IsSilence()) {
       Status fail = Status::Ok();
-      if (ReadWithRetry(request, &store_->disk(), entry.sector, entry.sector_count, now, &fail)) {
+      if (ReadWithRetry(request, entry.sector, entry.sector_count, now, &fail)) {
         ++transferred;
       } else {
         // Give up on this block: degraded playback renders it as silence
@@ -746,10 +744,9 @@ int64_t ServiceScheduler::ServiceRecording(ActiveRequest* request, SimTime* now,
       break;  // the camera has not finished this block yet
     }
     Status fail = Status::Ok();
-    const bool wrote =
-        TransferWithRetry(request, &store_->disk(),
-                          [request, payload] { return request->writer->AppendBlock(*payload); },
-                          nullptr, 0, 0, now, &fail);
+    const bool wrote = TransferWithRetry(
+        request, [request, payload] { return request->writer->AppendBlock(*payload); }, nullptr,
+        0, 0, now, &fail);
     if (!wrote) {
       assert(fail.code() == ErrorCode::kIoError ||
              fail.code() == ErrorCode::kBadSector);  // allocator failures are admission bugs
@@ -951,17 +948,11 @@ void ServiceScheduler::GroupExtents(const RoundPlan& plan, const PlannedTransfer
 int64_t ServiceScheduler::RunPlannedRound(SimTime* now) {
   const SimTime round_start = *now;
   const std::vector<PlanInput>& inputs = PlanRound(round_start);
-  if (options_.disk_array != nullptr) {
-    DispatchWaves(now);
-  } else {
-    DispatchSpindle(now);
-  }
+  Dispatch(now);
   return AccountRound(inputs, round_start, *now);
 }
 
 const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
-  DiskArray* array = options_.disk_array;
-  const int members = array != nullptr ? array->members() : 1;
   BlockCache* cache = ActiveCache();
 
   // Build the transfer program, revoking cache-admitted streams whose
@@ -969,12 +960,7 @@ const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
   // pauses at least one stream, so the loop is bounded.
   const std::vector<PlanInput>& inputs = BuildPlanInputs(now, /*count_cache_stats=*/true);
   for (;;) {
-    head_scratch_.clear();
-    for (int m = 0; m < members; ++m) {
-      head_scratch_.push_back(array != nullptr ? array->member(m).head_cylinder()
-                                               : store_->disk().head_cylinder());
-    }
-    BuildRoundPlanInto(store_->model(), head_scratch_, members, inputs, &round_plan_);
+    BuildRoundPlanInto(store_->model(), store_->disk().head_cylinder(), inputs, &round_plan_);
     const std::vector<RequestId> collapsed = CollapsedCacheAdmissions(inputs, round_plan_);
     if (collapsed.empty()) {
       break;
@@ -1023,8 +1009,7 @@ const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
     // stage ledger.
     EmitSpan(obs::SpanStage::kCache,
              obs::ChildSpanId(span_.root, obs::SpanStage::kCache, span_.ordinal++), span_.root,
-             now, /*duration=*/0, /*request=*/0, /*member=*/-1, /*seek=*/0, plan.cache_hits,
-             /*sector=*/0);
+             now, /*duration=*/0, /*request=*/0, /*seek=*/0, plan.cache_hits, /*sector=*/0);
   }
 
   // Sectors more than one active stream wants within the lookahead window:
@@ -1059,12 +1044,10 @@ const std::vector<PlanInput>& ServiceScheduler::PlanRound(SimTime now) {
   return inputs;
 }
 
-int64_t ServiceScheduler::CountSeek(const Disk& device, int64_t sector) {
-  const int64_t distance =
-      std::abs(store_->model().SectorToCylinder(sector) - device.head_cylinder());
-  dispatch_seek_cylinders_ += distance;
+void ServiceScheduler::CountSeek(int64_t sector) {
+  dispatch_seek_cylinders_ +=
+      std::abs(store_->model().SectorToCylinder(sector) - store_->disk().head_cylinder());
   ++dispatch_ops_;
-  return distance;
 }
 
 void ServiceScheduler::Attribute(const PlannedTransfer& transfer, SimDuration spent) {
@@ -1112,29 +1095,22 @@ void ServiceScheduler::RecordExtent(size_t g, SimTime completion, bool ok, std::
   }
 }
 
-void ServiceScheduler::ReadExtent(Disk* device, size_t g, SimTime* now) {
+void ServiceScheduler::ReadExtent(size_t g, SimTime* now) {
   const auto [sector, sectors] = group_keys_[g];
   Status fail = Status::Ok();
-  const bool ok = ReadWithRetry(&RequestAt(group_riders_[g].front()->request), device, sector,
-                                sectors, now, &fail);
+  const bool ok =
+      ReadWithRetry(&RequestAt(group_riders_[g].front()->request), sector, sectors, now, &fail);
   RecordExtent(g, *now, ok, fail.message());
 }
 
-void ServiceScheduler::SkipTransfer(const PlannedTransfer& transfer, SimTime now) {
-  GroupExtents(round_plan_, transfer);
-  for (size_t g = 0; g < group_count_; ++g) {
-    RecordExtent(g, now, /*ok=*/false, "member_failed");
-  }
-}
-
-void ServiceScheduler::Decoalesce(Disk* device, const PlannedTransfer& transfer,
-                                  SimDuration spent, SimTime* now) {
+void ServiceScheduler::Decoalesce(const PlannedTransfer& transfer, SimDuration spent,
+                                  SimTime* now) {
   ++RequestAt(round_plan_.riders_of(transfer).front().request).stats.faults_seen;
   const SimTime start = *now;
   GroupExtents(round_plan_, transfer);
   for (size_t g = 0; g < group_count_; ++g) {
-    CountSeek(*device, group_keys_[g].first);
-    ReadExtent(device, g, now);
+    CountSeek(group_keys_[g].first);
+    ReadExtent(g, now);
   }
   Attribute(transfer, spent + (*now - start));
 }
@@ -1142,18 +1118,16 @@ void ServiceScheduler::Decoalesce(Disk* device, const PlannedTransfer& transfer,
 void ServiceScheduler::RunAppend(const PlannedTransfer& transfer, SimTime* now) {
   const SimTime start = *now;
   ActiveRequest& request = RequestAt(transfer.append_request);
-  const uint64_t span_id =
-      OpenTransferSpan(obs::SpanStage::kAppend, transfer.append_request, /*member=*/-1);
+  const uint64_t span_id = OpenTransferSpan(obs::SpanStage::kAppend, transfer.append_request);
   append_done_[transfer.append_request] += ServiceRecording(&request, now, transfer.append_blocks);
   attributed_[transfer.append_request] += *now - start;
   if (*now > start) {
     EmitSpan(obs::SpanStage::kAppend, span_id, span_.root, *now, *now - start,
-             transfer.append_request, /*member=*/-1, /*seek=*/0, transfer.append_blocks,
-             transfer.start_sector);
+             transfer.append_request, /*seek=*/0, transfer.append_blocks, transfer.start_sector);
   }
 }
 
-void ServiceScheduler::DispatchSpindle(SimTime* now) {
+void ServiceScheduler::Dispatch(SimTime* now) {
   // The plan order is the dispatch order: block-level C-SCAN with appends
   // interleaved at their expected arm positions.
   Disk& disk = store_->disk();
@@ -1166,18 +1140,18 @@ void ServiceScheduler::DispatchSpindle(SimTime* now) {
     const SimTime start = *now;
     const uint64_t owner = plan.riders_of(transfer).front().request;
     const obs::SpanStage stage = TransferStageFor(RequestAt(owner));
-    const uint64_t span_id = OpenTransferSpan(stage, owner, /*member=*/-1);
-    CountSeek(disk, transfer.start_sector);
+    const uint64_t span_id = OpenTransferSpan(stage, owner);
+    CountSeek(transfer.start_sector);
     GroupExtents(plan, transfer);
     if (group_count_ == 1) {
-      ReadExtent(&disk, 0, now);
+      ReadExtent(0, now);
       Attribute(transfer, *now - start);
     } else {
       // Coalesced transfer: one attempt for the merged extent; a fault
       // de-coalesces it.
       Result<SimDuration> service = disk.Read(transfer.start_sector, transfer.sectors, nullptr);
       if (service.ok()) {
-        ChargeTransfer(stage, &disk, *service);
+        ChargeTransfer(stage, *service);
         *now += *service;
         for (size_t g = 0; g < group_count_; ++g) {
           RecordExtent(g, *now, /*ok=*/true);
@@ -1186,139 +1160,11 @@ void ServiceScheduler::DispatchSpindle(SimTime* now) {
       } else {
         ChargeStage(obs::SpanStage::kRetry, disk.last_fault_service());
         *now += disk.last_fault_service();
-        Decoalesce(&disk, transfer, *now - start, now);
+        Decoalesce(transfer, *now - start, now);
       }
     }
-    EmitSpan(stage, span_id, span_.root, *now, *now - start, owner, /*member=*/-1,
-             span_.active_seek, static_cast<int64_t>(transfer.rider_count),
-             transfer.start_sector);
-  }
-}
-
-void ServiceScheduler::DispatchWaves(SimTime* now) {
-  // One wave per queue depth, each wave issuing at most one transfer per
-  // member; the wave completes at the slowest arm. Appends run after the
-  // waves on the primary spindle.
-  DiskArray& array = *options_.disk_array;
-  const DiskModel& model = store_->model();
-  const RoundPlan& plan = round_plan_;
-  const int members = array.members();
-  for (int m = 0; m < members; ++m) {
-    array.member(m).set_time_hint(now);
-  }
-  queue_scratch_.resize(static_cast<size_t>(members));
-  for (auto& queue : queue_scratch_) {
-    queue.clear();
-  }
-  append_scratch_.clear();
-  for (const PlannedTransfer& transfer : plan.transfers) {
-    if (transfer.is_append) {
-      append_scratch_.push_back(&transfer);
-    } else {
-      queue_scratch_[static_cast<size_t>(transfer.member)].push_back(&transfer);
-    }
-  }
-  std::vector<DiskArray::BatchRequest>& batch = batch_scratch_;
-  std::vector<const PlannedTransfer*>& wave = wave_scratch_;
-  std::vector<int64_t>& wave_dists = wave_dist_scratch_;  // dispatch seek distance per entry
-  for (uint64_t wave_index = 0;; ++wave_index) {
-    batch.clear();
-    wave.clear();
-    wave_dists.clear();
-    for (int m = 0; m < members; ++m) {
-      auto& queue = queue_scratch_[static_cast<size_t>(m)];
-      if (queue.empty()) {
-        continue;
-      }
-      if (array.member(m).failed()) {
-        // The member already failed (this wave or an earlier round): the
-        // arm no longer moves, so dispatching its queue would only burn a
-        // per-block attempt against a device that answers instantly with
-        // nothing. Drain the queue as direct skips instead.
-        for (; !queue.empty(); queue.pop_front()) {
-          SkipTransfer(*queue.front(), *now);
-        }
-        continue;
-      }
-      const PlannedTransfer* transfer = queue.front();
-      queue.pop_front();
-      batch.push_back(DiskArray::BatchRequest{m, transfer->start_sector, transfer->sectors});
-      wave.push_back(transfer);
-      wave_dists.push_back(CountSeek(array.member(m), transfer->start_sector));
-    }
-    if (batch.empty()) {
-      break;
-    }
-    const SimTime wave_start = *now;
-    Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
-    assert(outcome.ok());  // the planner only builds well-formed batches
-    *now = wave_start + outcome->completion_time;
-
-    // Span bookkeeping happens after the wave, in batch order. The wave's
-    // ledger charge goes to its slowest arm (the wave completes when that
-    // arm does): its reposition is seek, the rest the dominant transfer's
-    // own stage.
-    const uint64_t wave_span =
-        span_.open ? obs::ChildSpanId(span_.root, obs::SpanStage::kWave, wave_index) : 0;
-    if (span_.open) {
-      size_t dominant = 0;
-      for (size_t i = 1; i < wave.size(); ++i) {
-        if (outcome->per_request[i].service > outcome->per_request[dominant].service) {
-          dominant = i;
-        }
-      }
-      const obs::SpanStage dominant_stage =
-          TransferStageFor(RequestAt(plan.riders_of(*wave[dominant]).front().request));
-      const SimDuration completion = outcome->completion_time;
-      const SimDuration seek =
-          std::min(completion, model.SeekTimeForDistance(wave_dists[dominant]));
-      ChargeStage(obs::SpanStage::kSeek, seek);
-      ChargeStage(dominant_stage, completion - seek);
-      EmitSpan(obs::SpanStage::kWave, wave_span, span_.root, *now, completion, /*request=*/0,
-               static_cast<int64_t>(batch[dominant].member), seek,
-               static_cast<int64_t>(batch.size()), static_cast<int64_t>(wave_index));
-    }
-
-    for (size_t i = 0; i < wave.size(); ++i) {
-      const PlannedTransfer& transfer = *wave[i];
-      const DiskArray::MemberOutcome& entry = outcome->per_request[i];
-      const uint64_t owner = plan.riders_of(transfer).front().request;
-      const obs::SpanStage stage = TransferStageFor(RequestAt(owner));
-      const uint64_t entry_span = span_.open ? obs::ChildSpanId(wave_span, stage, i) : 0;
-      EmitSpan(stage, entry_span, wave_span, wave_start + entry.service, entry.service, owner,
-               transfer.member, std::min(entry.service, model.SeekTimeForDistance(wave_dists[i])),
-               static_cast<int64_t>(transfer.rider_count), transfer.start_sector);
-      Disk& member = array.member(transfer.member);
-      if (entry.status.ok()) {
-        GroupExtents(plan, transfer);
-        for (size_t g = 0; g < group_count_; ++g) {
-          RecordExtent(g, wave_start + entry.service, /*ok=*/true);
-        }
-        Attribute(transfer, entry.service);
-      } else if (member.failed()) {
-        // The whole member died mid-wave: one member failure, not one
-        // attempt per block. This transfer's riders are skipped here; the
-        // arm's remaining queue drains at the next wave boundary.
-        ++RequestAt(owner).stats.faults_seen;
-        SkipTransfer(transfer, *now);
-        Attribute(transfer, entry.service);
-      } else {
-        // The faulted entry's mechanical time is already inside the wave
-        // completion; its de-coalesced re-reads run after the wave and nest
-        // their charges (and any retry subspans) under the entry's span.
-        span_.active_parent = entry_span;
-        span_.active_stage = stage;
-        span_.active_member = transfer.member;
-        span_.retry_ordinal = 0;
-        Decoalesce(&member, transfer, entry.service, now);
-      }
-    }
-  }
-  for (const PlannedTransfer* transfer : append_scratch_) {
-    RunAppend(*transfer, now);
-  }
-  for (int m = 0; m < members; ++m) {
-    array.member(m).set_time_hint(nullptr);
+    EmitSpan(stage, span_id, span_.root, *now, *now - start, owner, span_.active_seek,
+             static_cast<int64_t>(transfer.rider_count), transfer.start_sector);
   }
 }
 
@@ -1402,14 +1248,14 @@ int64_t ServiceScheduler::RunPerRequestRound(SimTime* now) {
     const SimTime service_start = *now;
     const obs::SpanStage stage =
         request.playback.has_value() ? TransferStageFor(request) : obs::SpanStage::kAppend;
-    const uint64_t span_id = OpenTransferSpan(stage, id, /*member=*/-1);
+    const uint64_t span_id = OpenTransferSpan(stage, id);
     const int64_t transferred = request.playback.has_value()
                                     ? ServicePlayback(&request, now)
                                     : ServiceRecording(&request, now, current_k_);
     transferred_total += transferred;
     if (*now > service_start) {
-      EmitSpan(stage, span_id, span_.root, *now, *now - service_start, id, /*member=*/-1,
-               span_.active_seek, transferred, /*sector=*/0);
+      EmitSpan(stage, span_id, span_.root, *now, *now - service_start, id, span_.active_seek,
+               transferred, /*sector=*/0);
     }
     EmitServiced(request, *now, transferred, *now - service_start);
   }

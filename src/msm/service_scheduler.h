@@ -20,12 +20,12 @@
 // executor (kPlanned) runs plan -> dispatch -> account: plan builds a
 // coalesced, deduplicated, C-SCAN program with the round I/O planner
 // (src/msm/round_planner.h) against a shared BlockCache; dispatch runs it
-// on one spindle or in parallel waves across a DiskArray; account reports
-// readiness in playback order. Both share one retry read, one skip record
-// and one kRequestServiced emitter. Admission stays planned against the
-// paper's worst-case alpha/beta; the planner only converts the difference
-// between that bound and the realized mechanism into slack (plus, with
-// cache-aware admission, into extra streams).
+// in plan order on the store's spindle; account reports readiness in
+// playback order. Both share one retry read, one skip record and one
+// kRequestServiced emitter. Admission stays planned against the paper's
+// worst-case alpha/beta; the planner only converts the difference between
+// that bound and the realized mechanism into slack (plus, with cache-aware
+// admission, into extra streams).
 
 #ifndef VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
 #define VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
@@ -41,7 +41,6 @@
 #include <vector>
 
 #include "src/core/admission.h"
-#include "src/disk/disk_array.h"
 #include "src/layout/strand_index.h"
 #include "src/media/devices.h"
 #include "src/msm/block_cache.h"
@@ -116,8 +115,8 @@ struct RequestStats {
 // worst-case reposition; Section 6.2 proposes servicing in the order that
 // minimizes inter-request seeks. kSeekScan approximates that by sorting
 // each round's *requests* by their next block's position; kPlanned
-// supersedes it with per-transfer planning: coalescing, dedup, block-level
-// C-SCAN and (with a DiskArray) parallel member dispatch.
+// supersedes it with per-transfer planning: coalescing, dedup and
+// block-level C-SCAN.
 enum class ServiceOrder {
   kRoundRobin,
   kSeekScan,
@@ -137,11 +136,6 @@ struct SchedulerOptions {
   // the same cache into the StrandStore (set_block_cache) so writes
   // invalidate.
   BlockCache* block_cache = nullptr;
-  // When set, kPlanned rounds dispatch playback reads across this array's
-  // members in parallel waves (one ReadBatch per queue depth); appends stay
-  // on the store's primary spindle. Member geometry must match the store
-  // disk. Must outlive the scheduler.
-  DiskArray* disk_array = nullptr;
   // Wall-clock worker pool (DESIGN.md section 12). Only ClusterCoordinator
   // uses it: it runs one task per node per epoch on the pool it finds here
   // in its node template. The scheduler and the facade never touch it, so
@@ -165,11 +159,11 @@ struct SchedulerOptions {
   // admits one newcomer per round and the seed benches count on it.
   bool batch_activation = false;
   // Causal span tracing (src/obs/span.h): every round emits a span tree —
-  // round root, per-wave, per-transfer, retry/append/cache sub-spans —
-  // with ids derived from (node, round, stage, ordinal), plus a per-stage
+  // round root, per-transfer, retry/append/cache sub-spans — with ids
+  // derived from (node, round, stage, ordinal), plus a per-stage
   // service-time ledger on the root that partitions the round exactly.
-  // All spans are emitted on the scheduler's thread in batch order, so the
-  // stream is byte-identical for any worker_pool size.
+  // All spans are emitted on the scheduler's thread in dispatch order, so
+  // the stream is byte-identical for any worker_pool size.
   bool emit_spans = false;
   // Storage-node id stamped on this scheduler's trace events and woven
   // into its trace ids (-1 = not part of a cluster).
@@ -298,13 +292,6 @@ class ServiceScheduler {
     fn();
     CountSlots(request, +1);
   }
-  // Visits every live request in ascending request id.
-  template <typename Fn>
-  void ForEachRequest(Fn&& fn) const {
-    for (RequestId id : live_ids_) {
-      fn(id, RequestAt(id));
-    }
-  }
 
   Result<RequestId> Submit(ActiveRequest request);
   // Admission for a request joining the rotation as `id` (Submit and a
@@ -356,13 +343,13 @@ class ServiceScheduler {
   // budget is checked at issue time and emitted events carry round_budget
   // 0, matching the capture-side contract. Returns false on give-up, with
   // the final status in `fail_status` when non-null.
-  bool TransferWithRetry(ActiveRequest* request, Disk* device,
+  bool TransferWithRetry(ActiveRequest* request,
                          const std::function<Result<SimDuration>()>& attempt,
                          const std::function<SimDuration()>& peek_retry, int64_t sector,
                          int64_t sectors, SimTime* now, Status* fail_status);
   // The one retry read of both executors: TransferWithRetry over one extent.
-  bool ReadWithRetry(ActiveRequest* request, Disk* device, int64_t sector, int64_t sectors,
-                     SimTime* now, Status* fail_status);
+  bool ReadWithRetry(ActiveRequest* request, int64_t sector, int64_t sectors, SimTime* now,
+                     Status* fail_status);
   // The one skip record of both executors: counts a given-up block against
   // `request` and traces kBlockSkipped. Reads carry their extent and the
   // round budget; appends carry neither.
@@ -438,32 +425,28 @@ class ServiceScheduler {
   // (revoking collapsed cache admissions first), emits kRoundPlanned and
   // the cache span, and resets the dispatch outputs below.
   const std::vector<PlanInput>& PlanRound(SimTime now);
-  // Dispatch: runs round_plan_, filling the outcome arrays, attributed_,
-  // append_done_ and the seek ledger. One spindle follows the plan order;
-  // an array issues one parallel wave per queue depth, then the appends.
-  void DispatchSpindle(SimTime* now);
-  void DispatchWaves(SimTime* now);
+  // Dispatch: runs round_plan_ in plan order on the store's spindle,
+  // filling the outcome arrays, attributed_, append_done_ and the seek
+  // ledger.
+  void Dispatch(SimTime* now);
   // Account: reports readiness in playback order, emits kRequestServiced
   // per request and the round's kSeekAccounting. Returns blocks moved.
   int64_t AccountRound(const std::vector<PlanInput>& inputs, SimTime round_start, SimTime now);
   // Dispatch steps; extent `g` indexes the current GroupExtents grouping.
   // CountSeek books one operation and its arm travel in the seek ledger.
-  int64_t CountSeek(const Disk& device, int64_t sector);
+  void CountSeek(int64_t sector);
   // Splits `spent` evenly between the transfer's distinct requests.
   void Attribute(const PlannedTransfer& transfer, SimDuration spent);
   // Settles every rider of extent `g` at `completion`; a read fills the
   // cache (pinning prelude pages), a give-up skips the block for each.
   void RecordExtent(size_t g, SimTime completion, bool ok, std::string_view why = {});
   // Reads extent `g` for its first rider with the shared retry read.
-  void ReadExtent(Disk* device, size_t g, SimTime* now);
-  // A transfer on a dead member: every rider loses its blocks directly,
-  // without a per-block attempt against a device that answers instantly.
-  void SkipTransfer(const PlannedTransfer& transfer, SimTime now);
-  // After a faulted transfer (a coalesced read or a wave entry): counts the
-  // fault against its owner, re-reads its distinct extents one by one so
-  // one bad sector does not burn its neighbours' retry budget, and charges
-  // the riders `spent` plus the re-read time.
-  void Decoalesce(Disk* device, const PlannedTransfer& transfer, SimDuration spent, SimTime* now);
+  void ReadExtent(size_t g, SimTime* now);
+  // After a faulted coalesced read: counts the fault against its owner,
+  // re-reads its distinct extents one by one so one bad sector does not
+  // burn its neighbours' retry budget, and charges the riders `spent` plus
+  // the re-read time.
+  void Decoalesce(const PlannedTransfer& transfer, SimDuration spent, SimTime* now);
   // Services a planned append as its own transfer span.
   void RunAppend(const PlannedTransfer& transfer, SimTime* now);
 
@@ -484,7 +467,6 @@ class ServiceScheduler {
     SimDuration active_seek = 0; // seek time charged since OpenTransferSpan
     obs::SpanStage active_stage = obs::SpanStage::kTransfer;
     uint64_t active_request = 0;
-    int64_t active_member = -1;
     obs::StageBreakdown stages;
   };
   // Adds `usec` to one ledger stage (no-op when no round span is open).
@@ -492,15 +474,15 @@ class ServiceScheduler {
   // Charges one clean transfer: the seek fraction (the arm's last reposition
   // time, clamped to the service) to kSeek and the remainder to `stage`;
   // append charges whole (allocation and write are not separable).
-  void ChargeTransfer(obs::SpanStage stage, Disk* device, SimDuration service);
+  void ChargeTransfer(obs::SpanStage stage, SimDuration service);
   // Opens a per-transfer child span under the round root and makes it the
   // active parent for retry subspans. Returns the span id.
-  uint64_t OpenTransferSpan(obs::SpanStage stage, uint64_t request, int64_t member);
+  uint64_t OpenTransferSpan(obs::SpanStage stage, uint64_t request);
   // Emits one span event (scheduler thread only). `end` is the span's end
   // instant; `seek` the seek fraction of its duration.
   void EmitSpan(obs::SpanStage stage, uint64_t span_id, uint64_t parent, SimTime end,
-                SimDuration duration, uint64_t request, int64_t member, SimDuration seek,
-                int64_t blocks, int64_t sector);
+                SimDuration duration, uint64_t request, SimDuration seek, int64_t blocks,
+                int64_t sector);
   // Stage a request's reads charge: merge_patch for tagged patch streams.
   obs::SpanStage TransferStageFor(const ActiveRequest& request) const;
 
@@ -540,11 +522,10 @@ class ServiceScheduler {
   std::deque<PendingAdmission> pending_;
 
   // The round plan and the per-round scratch arenas. All of these are
-  // cleared (capacity kept) every round, so a steady 20k-stream rotation
-  // allocates nothing on the hot path after warm-up.
+  // cleared (capacity kept) every round, so they stop allocating once warm;
+  // the planner's build phase still allocates (round_planner.h).
   RoundPlan round_plan_;
   std::vector<PlanInput> plan_inputs_;
-  std::vector<int64_t> head_scratch_;
   // Per-candidate outcomes, indexed by PlannedBlock::slot (the planner's
   // round-global candidate numbering) — replaces a map keyed by
   // (request, ordinal).
@@ -571,12 +552,6 @@ class ServiceScheduler {
   std::vector<std::vector<const PlannedBlock*>> group_riders_;
   size_t group_count_ = 0;
   std::vector<uint64_t> attribute_scratch_;
-  // Array-wave dispatch scratch.
-  std::vector<std::deque<const PlannedTransfer*>> queue_scratch_;
-  std::vector<const PlannedTransfer*> append_scratch_;
-  std::vector<DiskArray::BatchRequest> batch_scratch_;
-  std::vector<const PlannedTransfer*> wave_scratch_;
-  std::vector<int64_t> wave_dist_scratch_;
 
   // Fills group_keys_/group_riders_[0..group_count_) with the transfer's
   // distinct extents in first-encounter order. One grouping is live at a

@@ -70,8 +70,8 @@ struct AuditorOptions {
 class ContinuityAuditor : public TraceSink {
  public:
   // Tolerance on the kCriticalPath stage-sum check: the per-stage charges
-  // are integer microseconds and the seek/transfer split of one wave may
-  // round against the round total by at most a microsecond each way.
+  // are integer microseconds and the seek/transfer split of one transfer
+  // may round against the round total by at most a microsecond each way.
   static constexpr SimDuration kStageSumEpsilonUsec = 2;
 
   explicit ContinuityAuditor(AuditorOptions options = AuditorOptions());

@@ -3,10 +3,10 @@
 // Every trace-producing stage can open a span: a closed interval with a
 // (trace_id, span_id, parent_span) triple that links it into a per-round
 // tree. The ids are pure functions of structural indices — node, round,
-// stage, and a deterministic ordinal (wave number, batch slot, retry
-// attempt) — mixed through splitmix64. Wall clock never feeds the ids, so
-// the span stream honours the wall-clock engine's invariant (DESIGN.md
-// section 12): byte-identical telemetry for any VAFS_WORKERS count.
+// stage, and a deterministic ordinal (transfer number, retry attempt) —
+// mixed through splitmix64. Wall clock never feeds the ids, so the span
+// stream honours the wall-clock engine's invariant (DESIGN.md section 12):
+// byte-identical telemetry for any VAFS_WORKERS count.
 //
 // Spans are flat TraceEvents (kind = kSpan), emitted at close with their
 // duration, riding the existing sink graph. The tree structure lives only

@@ -97,7 +97,10 @@ enum class SpanStage {
   kCache,           // plan-time cache hits (zero disk time by design)
   kMergePatch,      // transfers feeding a session-layer catch-up stream
   kAppend,          // recording appends riding the round tail
-  kWave,            // one parallel DiskArray dispatch wave
+  // A retired disk-array dispatch wave. No producer remains; the enumerator
+  // stays because ChildSpanId hashes stage numbers, so removing it would
+  // renumber the stages after it and move every span id.
+  kWave,
   kPlan,            // round-plan construction
   kRoute,           // cluster coordinator routing/failover decision
   kSession,         // session-layer attach/patch bookkeeping

@@ -15,7 +15,6 @@ inline constexpr int64_t kBitsPerByte = 8;
 
 inline constexpr int64_t KiB(int64_t n) { return n * 1024; }
 inline constexpr int64_t MiB(int64_t n) { return n * 1024 * 1024; }
-inline constexpr int64_t GiB(int64_t n) { return n * 1024 * 1024 * 1024; }
 
 inline constexpr int64_t BytesToBits(int64_t bytes) { return bytes * kBitsPerByte; }
 

@@ -170,10 +170,6 @@ struct FsckReport {
   std::unique_ptr<TextFileService> texts;
   ImageReceipt receipt;  // invalid when used_scavenger (no committed image)
   int64_t strands_recovered = 0;
-
-  // No structural damage: every extent is exactly-once claimed and both
-  // roots were intact.
-  bool Consistent() const { return findings.empty(); }
 };
 
 // Offline check-and-repair. Loads the newest valid root when one exists

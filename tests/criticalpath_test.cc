@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/cluster/cluster.h"
-#include "src/disk/disk_array.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
@@ -62,9 +61,9 @@ TEST(SpanIdTest, IdsAreDeterministicAndDistinct) {
             obs::ChildSpanId(obs::RootSpanId(obs::RoundTraceId(2, 18)), obs::SpanStage::kWave, 0));
 }
 
-// One planned-round workload over a 4-member array with spans on: the
-// analyzer sits between the scheduler and the tee, the strict auditor
-// checks every span and verdict inline.
+// One planned-round workload on one spindle with spans on: the analyzer
+// sits between the scheduler and the tee, the strict auditor checks every
+// span and verdict inline.
 struct SpanRun {
   std::vector<obs::RoundCriticalPath> rounds;
   std::string critical_path_json;
@@ -75,8 +74,7 @@ struct SpanRun {
   int64_t span_events = 0;
 };
 
-SpanRun RunSpanWorkload(bool fault_member) {
-  constexpr int kMembers = 4;
+SpanRun RunSpanWorkload(bool fault_disk) {
   constexpr int kStreams = 3;
   Disk disk(TestDiskParameters());
   StrandStore store(&disk);
@@ -108,9 +106,8 @@ SpanRun RunSpanWorkload(bool fault_member) {
     requests.push_back(std::move(request));
   }
 
-  DiskArray array(TestDiskParameters(), kMembers);
-  if (fault_member) {
-    array.member(1).fault_injector().MarkBad(0, array.member(1).total_sectors());
+  if (fault_disk) {
+    disk.fault_injector().set_read_fault_rate(0.2);
   }
 
   Simulator sim;
@@ -118,7 +115,6 @@ SpanRun RunSpanWorkload(bool fault_member) {
   options.trace = &analyzer;
   options.emit_spans = true;
   options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
   const double avg = std::max(store.AverageScatteringSec(), 1e-4);
   ServiceScheduler scheduler(&store, &sim, AdmissionControl(TestStorage(), avg), options);
   for (PlaybackRequest& request : requests) {
@@ -140,7 +136,7 @@ SpanRun RunSpanWorkload(bool fault_member) {
 }
 
 TEST(CriticalPathTest, StageLedgerSumsToRoundDuration) {
-  const SpanRun run = RunSpanWorkload(/*fault_member=*/false);
+  const SpanRun run = RunSpanWorkload(/*fault_disk=*/false);
   EXPECT_TRUE(run.auditor_clean) << run.auditor_report;
   ASSERT_GT(run.rounds.size(), 1u);
   EXPECT_GT(run.span_events, 0);
@@ -161,8 +157,8 @@ TEST(CriticalPathTest, StageLedgerSumsToRoundDuration) {
   }
 }
 
-TEST(CriticalPathTest, FaultedMemberChargesRetryStage) {
-  const SpanRun run = RunSpanWorkload(/*fault_member=*/true);
+TEST(CriticalPathTest, FaultedDiskChargesRetryStage) {
+  const SpanRun run = RunSpanWorkload(/*fault_disk=*/true);
   EXPECT_TRUE(run.auditor_clean) << run.auditor_report;
   ASSERT_FALSE(run.rounds.empty());
   SimDuration retry_total = 0;
@@ -172,16 +168,16 @@ TEST(CriticalPathTest, FaultedMemberChargesRetryStage) {
               obs::ContinuityAuditor::kStageSumEpsilonUsec)
         << "round " << round.round;
   }
-  EXPECT_GT(retry_total, 0) << "whole-bad member produced no retry charge";
+  EXPECT_GT(retry_total, 0) << "faulted reads produced no retry charge";
 }
 
 TEST(CriticalPathTest, StreamingAndStaticWalksAgree) {
-  const SpanRun run = RunSpanWorkload(/*fault_member=*/false);
+  const SpanRun run = RunSpanWorkload(/*fault_disk=*/false);
   EXPECT_EQ(run.critical_path_json, run.static_json);
 }
 
 TEST(CriticalPathTest, ArtifactsAreWellFormed) {
-  const SpanRun run = RunSpanWorkload(/*fault_member=*/false);
+  const SpanRun run = RunSpanWorkload(/*fault_disk=*/false);
   Result<obs::JsonValue> parsed = obs::JsonValue::Parse(run.critical_path_json);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
   EXPECT_EQ(parsed->StringOr("kind", ""), "vafs.critical_path");

@@ -147,22 +147,41 @@ TEST(FaultyDiskTest, DisabledFaultsAreBitIdenticalToNoInjector) {
 
 TEST(FaultyArrayTest, BatchReportsPerMemberOutcomes) {
   DiskArray array(TestDiskParameters(), 3);
-  array.FailMember(1);
+  array.member(1).set_failed(true);
   std::vector<DiskArray::BatchRequest> batch = {{0, 0, 4}, {1, 0, 4}, {2, 0, 4}};
   Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
   ASSERT_TRUE(outcome.ok());
-  EXPECT_FALSE(outcome->AllOk());
-  EXPECT_EQ(outcome->FailedCount(), 1);
+  ASSERT_EQ(outcome->per_request.size(), 3u);
   EXPECT_TRUE(outcome->per_request[0].status.ok());
   EXPECT_EQ(outcome->per_request[1].status.code(), ErrorCode::kIoError);
   EXPECT_TRUE(outcome->per_request[2].status.ok());
   // A dead member answers instantly; the healthy members set the pace.
   EXPECT_EQ(outcome->per_request[1].service, 0);
   EXPECT_EQ(outcome->completion_time, outcome->per_request[0].service);
-  array.ReviveMember(1);
+  array.member(1).set_failed(false);
   Result<DiskArray::BatchOutcome> healed = array.ReadBatch(batch, nullptr);
   ASSERT_TRUE(healed.ok());
-  EXPECT_TRUE(healed->AllOk());
+  for (const DiskArray::MemberOutcome& fate : healed->per_request) {
+    EXPECT_TRUE(fate.status.ok());
+  }
+}
+
+TEST(FaultyArrayTest, FaultedMemberChargesMechanicalTimeIntoCompletion) {
+  // Eq. 11 accounting under faults: the batch is not done until the
+  // slowest arm stops, and a faulted member's arm still moved — its
+  // last_fault_service() must be inside completion_time.
+  DiskArray array(TestDiskParameters(), 2);
+  array.member(1).fault_injector().MarkBad(100, 8);
+  const std::vector<DiskArray::BatchRequest> batch = {{0, 0, 8}, {1, 100, 8}};
+  Result<DiskArray::BatchOutcome> outcome = array.ReadBatch(batch, nullptr);
+  ASSERT_TRUE(outcome.ok());
+  ASSERT_EQ(outcome->per_request.size(), 2u);
+  EXPECT_TRUE(outcome->per_request[0].status.ok());
+  EXPECT_FALSE(outcome->per_request[1].status.ok());
+  EXPECT_GT(outcome->per_request[1].service, 0) << "faulted arm consumed no mechanism";
+  EXPECT_EQ(outcome->per_request[1].service, array.member(1).last_fault_service());
+  EXPECT_EQ(outcome->completion_time,
+            std::max(outcome->per_request[0].service, outcome->per_request[1].service));
 }
 
 TEST(FaultyArrayTest, MemberFaultSchedulesAreDecorrelated) {

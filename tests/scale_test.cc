@@ -3,18 +3,17 @@
 // DESIGN.md section 15: the round hot path was rebuilt around a flat,
 // generation-stamped slot table and arena-reused round plans so one node
 // can carry tens of thousands of concurrent streams. This test drives ~5k
-// concurrent streams through a couple of planned rounds over an 8-member
-// array, with metrics and SLO sinks attached, under a strict continuity
-// auditor. Block playback is stretched far past the round time so the run
-// must be *clean* under Eq. 11: at this population a slot-ledger bug or a
-// planner ordering bug shows up as an audit violation or a lost block.
+// concurrent streams through a couple of planned rounds on one spindle,
+// with metrics and SLO sinks attached, under a strict continuity auditor.
+// Block playback is stretched far past the round time so the run must be
+// *clean* under Eq. 11: at this population a slot-ledger bug or a planner
+// ordering bug shows up as an audit violation or a lost block.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
-#include "src/disk/disk_array.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
 #include "src/obs/auditor.h"
@@ -27,7 +26,6 @@
 namespace vafs {
 namespace {
 
-constexpr int kMembers = 8;
 constexpr int kCatalog = 8;       // distinct recorded strands
 constexpr int64_t kStreams = 5000;
 constexpr int64_t kBlocksPerStream = 2;  // ~2 rounds at forced_k = 1
@@ -66,12 +64,10 @@ TEST(ScaleSmokeTest, FiveThousandStreamsRunCleanUnderStrictAudit) {
     catalog.push_back(std::move(blocks));
   }
 
-  DiskArray array(TestDiskParameters(), kMembers);
   Simulator sim;
   SchedulerOptions options;
   options.trace = &tee;
   options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
   options.forced_k = 1;  // admit everyone: the hot path is under test, not Eq. 17
   options.batch_activation = true;  // all 5k join the rotation in one round
   const double avg = std::max(store.AverageScatteringSec(), 1e-4);

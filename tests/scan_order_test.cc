@@ -56,7 +56,7 @@ TEST_F(RoundPlannerTest, CScanWrapsPastTheOutermostCylinder) {
   PlanInput input;
   input.request = 1;
   input.blocks = {AtCylinder(0, 50), AtCylinder(1, 10), AtCylinder(2, 90)};
-  const RoundPlan plan = BuildRoundPlan(model_, {40}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 40, {input});
   ASSERT_EQ(plan.transfers.size(), 3u);
   EXPECT_EQ(CylinderOf(plan.transfers[0]), 50);
   EXPECT_EQ(CylinderOf(plan.transfers[1]), 90);
@@ -70,7 +70,7 @@ TEST_F(RoundPlannerTest, SingleTransferRound) {
   PlanInput input;
   input.request = 1;
   input.blocks = {AtCylinder(0, 7)};
-  const RoundPlan plan = BuildRoundPlan(model_, {100}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 100, {input});
   ASSERT_EQ(plan.transfers.size(), 1u);
   EXPECT_EQ(plan.read_transfers, 1);
   EXPECT_EQ(plan.data_blocks, 1);
@@ -82,7 +82,7 @@ TEST_F(RoundPlannerTest, ContiguousBlocksCoalesceIntoOneTransfer) {
   PlanInput input;
   input.request = 1;
   input.blocks = {AtSector(0, 100, 4), AtSector(1, 104, 4), AtSector(2, 108, 4)};
-  const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 0, {input});
   ASSERT_EQ(plan.transfers.size(), 1u);
   EXPECT_EQ(plan.transfers[0].start_sector, 100);
   EXPECT_EQ(plan.transfers[0].sectors, 12);
@@ -97,7 +97,7 @@ TEST_F(RoundPlannerTest, SilenceGapBreaksCoalescingEvenWhenExtentsAbut) {
   PlanInput input;
   input.request = 1;
   input.blocks = {AtSector(0, 100, 4), Silence(1), AtSector(2, 104, 4)};
-  const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 0, {input});
   ASSERT_EQ(plan.transfers.size(), 2u);
   EXPECT_EQ(plan.coalesced_blocks, 0);
   EXPECT_EQ(plan.read_transfers, 2);
@@ -108,7 +108,7 @@ TEST_F(RoundPlannerTest, NonAdjacentBlocksOfOneRequestDoNotCoalesce) {
   PlanInput input;
   input.request = 1;
   input.blocks = {AtSector(0, 100, 4), AtSector(1, 112, 4)};
-  const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 0, {input});
   EXPECT_EQ(plan.transfers.size(), 2u);
   EXPECT_EQ(plan.coalesced_blocks, 0);
 }
@@ -120,7 +120,7 @@ TEST_F(RoundPlannerTest, SharedExtentDedupsAcrossRequests) {
   PlanInput b;
   b.request = 2;
   b.blocks = {AtSector(5, 100, 4)};
-  const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, {a, b});
+  const RoundPlan plan = BuildRoundPlan(model_, 0, {a, b});
   ASSERT_EQ(plan.transfers.size(), 1u);
   EXPECT_EQ(plan.riders_of(plan.transfers[0]).size(), 2u);
   EXPECT_EQ(plan.deduped_blocks, 1);
@@ -134,31 +134,11 @@ TEST_F(RoundPlannerTest, CacheHitsPlanNoTransfer) {
   PlanCandidate hit = AtSector(0, 100, 4);
   hit.cache_hit = true;
   input.blocks = {hit, AtSector(1, 104, 4)};
-  const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, {input});
+  const RoundPlan plan = BuildRoundPlan(model_, 0, {input});
   ASSERT_EQ(plan.transfers.size(), 1u);
   EXPECT_EQ(plan.transfers[0].start_sector, 104);
   EXPECT_EQ(plan.cache_hits, 1);
   EXPECT_EQ(plan.data_blocks, 2);
-}
-
-TEST_F(RoundPlannerTest, ArrayMembersGetIndependentCScanQueues) {
-  // Two members: block ordinals alternate members; each member's queue
-  // must be elevator-ordered on its own.
-  PlanInput input;
-  input.request = 1;
-  input.blocks = {AtCylinder(0, 80), AtCylinder(1, 60), AtCylinder(2, 20),
-                  AtCylinder(3, 90)};
-  const RoundPlan plan = BuildRoundPlan(model_, {50, 50}, 2, {input});
-  ASSERT_EQ(plan.transfers.size(), 4u);
-  std::vector<int64_t> member0;
-  std::vector<int64_t> member1;
-  for (const PlannedTransfer& transfer : plan.transfers) {
-    (transfer.member == 0 ? member0 : member1).push_back(CylinderOf(transfer));
-  }
-  // Member 0 holds ordinals 0 and 2 (cylinders 80, 20): sweep from 50
-  // takes 80 first, wraps to 20. Member 1 holds 60 then 90, in sweep order.
-  EXPECT_EQ(member0, (std::vector<int64_t>{80, 20}));
-  EXPECT_EQ(member1, (std::vector<int64_t>{60, 90}));
 }
 
 TEST_F(RoundPlannerTest, SameStartDifferentLengthsStaySeparateInEncounterOrder) {
@@ -175,7 +155,7 @@ TEST_F(RoundPlannerTest, SameStartDifferentLengthsStaySeparateInEncounterOrder) 
     const std::vector<PlanInput> inputs =
         longer_first ? std::vector<PlanInput>{longer, shorter}
                      : std::vector<PlanInput>{shorter, longer};
-    const RoundPlan plan = BuildRoundPlan(model_, {0}, 1, inputs);
+    const RoundPlan plan = BuildRoundPlan(model_, 0, inputs);
     ASSERT_EQ(plan.transfers.size(), 2u);
     EXPECT_EQ(plan.read_transfers, 2);
     EXPECT_EQ(plan.deduped_blocks, 0);
@@ -204,7 +184,7 @@ TEST_F(RoundPlannerTest, AppendsSortIntoTheSweepAtTheirPosition) {
   behind.request = 3;
   behind.append_blocks = 1;
   behind.append_position_sector = 20 * model_.params().SectorsPerCylinder();
-  const RoundPlan plan = BuildRoundPlan(model_, {40}, 1, {reader, ahead, behind});
+  const RoundPlan plan = BuildRoundPlan(model_, 40, {reader, ahead, behind});
   ASSERT_EQ(plan.transfers.size(), 5u);
   const std::vector<int64_t> expected_cylinders = {50, 70, 90, 10, 20};
   for (size_t i = 0; i < plan.transfers.size(); ++i) {
@@ -230,7 +210,6 @@ void ExpectSamePlan(const RoundPlan& actual, const RoundPlan& expected) {
     EXPECT_EQ(a.is_append, e.is_append);
     EXPECT_EQ(a.start_sector, e.start_sector);
     EXPECT_EQ(a.sectors, e.sectors);
-    EXPECT_EQ(a.member, e.member);
     EXPECT_EQ(a.rider_begin, e.rider_begin);
     EXPECT_EQ(a.rider_count, e.rider_count);
     EXPECT_EQ(a.append_request, e.append_request);
@@ -275,7 +254,7 @@ TEST_F(RoundPlannerTest, ReusedPlanEqualsFreshPlan) {
   recorder.append_position_sector = 45 * model_.params().SectorsPerCylinder();
 
   RoundPlan reused;
-  BuildRoundPlanInto(model_, {40}, 1, {lead, follower, cached, recorder}, &reused);
+  BuildRoundPlanInto(model_, 40, {lead, follower, cached, recorder}, &reused);
   ASSERT_GT(reused.deduped_blocks, 0);
   ASSERT_GT(reused.coalesced_blocks, 0);
   ASSERT_EQ(reused.transfers.size(), 4u);  // 100..112, cyl 60, cyl 80, append
@@ -285,8 +264,8 @@ TEST_F(RoundPlannerTest, ReusedPlanEqualsFreshPlan) {
   next.request = 2;
   next.blocks = {AtCylinder(4, 20), AtSector(5, 104, 4)};
   const std::vector<PlanInput> smaller = {next};
-  BuildRoundPlanInto(model_, {60}, 1, smaller, &reused);
-  const RoundPlan fresh = BuildRoundPlan(model_, {60}, 1, smaller);
+  BuildRoundPlanInto(model_, 60, smaller, &reused);
+  const RoundPlan fresh = BuildRoundPlan(model_, 60, smaller);
   ExpectSamePlan(reused, fresh);
   EXPECT_EQ(reused.transfers.size(), 2u);
   EXPECT_EQ(reused.deduped_blocks, 0);

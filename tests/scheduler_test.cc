@@ -6,7 +6,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/disk/disk_array.h"
 #include "src/media/silence.h"
 #include "src/msm/block_cache.h"
 #include "src/msm/recorder.h"
@@ -601,79 +600,43 @@ TEST_F(SchedulerTest, AdmitStopCyclesLeaveNoPinnedResidue) {
   }
 }
 
-TEST_F(SchedulerTest, DeadArrayMemberFailsOnceNotPerBlock) {
-  // Regression: when a whole DiskArray member dies mid-stream, the planned
-  // dispatcher used to push every queued transfer at the dead arm, and each
-  // block burned its own attempt through the retry machinery (a fault event
-  // and fault accounting per block, against a device that answers instantly
-  // with nothing). The member must fail once; the rest of its queue is
-  // skipped directly.
-  PlaybackRequest request = MakePlayback(5.0, 77);
-  const int64_t total_blocks = static_cast<int64_t>(request.blocks.size());
-  DiskArray array(TestDiskParameters(), 2);
-  for (int m = 0; m < 2; ++m) {
-    array.member(m).set_trace_sink(&tee_);
+TEST_F(SchedulerTest, FaultedCoalescedReadChargesItsReReadsToTheRequest) {
+  // A coalesced read that faults is de-coalesced: its distinct extents are
+  // re-read one by one. Those re-reads are the request's disk time just
+  // like the failed merged attempt: with one stream (nothing shared to
+  // split), every round's kRequestServiced duration must equal the round's
+  // summed disk reads and faults.
+  PlaybackRequest request = MakePlayback(5.0, 78);
+  // Point the entries at abutting extents so each round's k blocks merge
+  // into one transfer.
+  int64_t sector = request.blocks.front().sector;
+  for (PrimaryEntry& entry : request.blocks) {
+    entry.sector = sector;
+    sector += entry.sector_count;
   }
+  ASSERT_LE(sector, disk_.total_sectors());
+  request.device_buffers = 1000;  // buffer room never cuts a round short of k
+  disk_.set_trace_sink(&tee_);
+  disk_.fault_injector().set_read_fault_rate(0.25);
   SchedulerOptions options = Traced();
   options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
+  options.forced_k = 4;
   ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
   Result<RequestId> id = scheduler.SubmitPlayback(std::move(request));
   ASSERT_TRUE(id.ok());
-  // A second of healthy rounds, then member 1 dies for good.
-  sim_.ScheduleAfter(SecondsToUsec(1.0), [&array] { array.FailMember(1); });
-  scheduler.RunUntilIdle();
-
-  Result<RequestStats> stats = scheduler.stats(*id);
-  ASSERT_TRUE(stats.ok());
-  EXPECT_TRUE(stats->completed);
-  EXPECT_EQ(stats->blocks_done, total_blocks);  // skip-on-time: the clock never stalls
-  EXPECT_GT(stats->blocks_skipped, 0);
-  EXPECT_LT(stats->blocks_skipped, total_blocks);  // member 0 kept delivering
-  // No per-block attempts against the dead arm: zero retries, and at most
-  // one device_failed fault observation (the wave that caught it dying).
-  EXPECT_EQ(stats->blocks_retried, 0);
-  EXPECT_LE(stats->faults_seen, 1);
-  int64_t device_failed_events = 0;
-  int64_t skips = 0;
-  for (const obs::TraceEvent& event : log_.events()) {
-    if (event.kind == obs::TraceEventKind::kDiskFault && event.detail == "device_failed") {
-      ++device_failed_events;
-    }
-    if (event.kind == obs::TraceEventKind::kBlockSkipped) {
-      ++skips;
-    }
-  }
-  EXPECT_LE(device_failed_events, 1);
-  EXPECT_EQ(skips, stats->blocks_skipped);
-}
-
-TEST_F(SchedulerTest, FaultedArrayWaveChargesRetriesToTheRequest) {
-  // A faulted wave entry is re-read serially after its wave. Those re-reads
-  // are the request's disk time just like the entry's own service: with one
-  // stream (nothing shared to split), every round's kRequestServiced
-  // duration must equal the round's summed member reads and faults.
-  PlaybackRequest request = MakePlayback(5.0, 78);
-  DiskArray array(TestDiskParameters(), 2);
-  for (int m = 0; m < 2; ++m) {
-    array.member(m).set_trace_sink(&tee_);
-    array.member(m).fault_injector().set_read_fault_rate(0.25);
-  }
-  SchedulerOptions options = Traced();
-  options.service_order = ServiceOrder::kPlanned;
-  options.disk_array = &array;
-  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
-  ASSERT_TRUE(scheduler.SubmitPlayback(std::move(request)).ok());
   scheduler.RunUntilIdle();
 
   SimDuration disk_time = 0;
   bool faulted = false;
+  int64_t coalesced = 0;
   int64_t rounds = 0;
   int64_t faulted_rounds = 0;
   for (const obs::TraceEvent& event : log_.events()) {
     if (event.kind == obs::TraceEventKind::kRoundStart) {
       disk_time = 0;
       faulted = false;
+    } else if (event.kind == obs::TraceEventKind::kRoundPlanned) {
+      coalesced += event.coalesced_blocks;
     } else if (event.kind == obs::TraceEventKind::kDiskRead ||
                event.kind == obs::TraceEventKind::kDiskFault) {
       disk_time += event.duration;
@@ -684,9 +647,10 @@ TEST_F(SchedulerTest, FaultedArrayWaveChargesRetriesToTheRequest) {
       faulted_rounds += faulted ? 1 : 0;
     }
   }
+  EXPECT_GT(coalesced, 0);
   EXPECT_GT(faulted_rounds, 0);
   EXPECT_GT(rounds, faulted_rounds);
-  EXPECT_GT(scheduler.stats(1)->blocks_retried, 0);
+  EXPECT_GT(scheduler.stats(*id)->blocks_retried, 0);
 }
 
 TEST_F(SchedulerTest, BatchActivationStillStepsKOncePerRound) {

@@ -7,9 +7,9 @@ bench_scale next to its printed tables). Fails (exit 1) when:
   - a sweep size appears more than once (each population runs exactly
     once; the simulated-time digests of each run are pinned by
     bench/baselines/BENCH_scale_metrics.json through check_regression.py);
-  - a sweep or waves run executed no rounds, served no stream-rounds,
-    produced no trace events or admitted no streams (the workload did not
-    actually run), or no sweep or waves run was recorded at all.
+  - a sweep run executed no rounds, served no stream-rounds, produced no
+    trace events or admitted no streams (the workload did not actually
+    run), or no sweep run was recorded at all.
 
 Advisory (reported, never fatal -- wall-clock cost depends on the host):
 
@@ -68,7 +68,6 @@ def check_scale(path: str) -> None:
         check_alive(path, run)
 
     sweeps = [r for r in runs if r.get("part") == "sweep"]
-    waves = [r for r in runs if r.get("part") == "waves"]
 
     if not sweeps:
         fail(f"{path}: no sweep runs recorded")
@@ -76,12 +75,10 @@ def check_scale(path: str) -> None:
     for size in sorted(set(sizes)):
         if sizes.count(size) != 1:
             fail(f"{path}: sweep size {size} recorded {sizes.count(size)} times")
-    if not waves:
-        fail(f"{path}: no waves runs recorded")
 
     if not FAILURES:
-        print(f"ok: {len(sweeps)} sweep run(s) at sizes {sorted(sizes)} and "
-              f"{len(waves)} waves run(s), every run executed rounds")
+        print(f"ok: {len(sweeps)} sweep run(s) at sizes {sorted(sizes)}, "
+              f"every run executed rounds")
 
     # Advisory: per-served-stream-round wall cost vs the smallest sweep.
     ordered = sorted(sweeps, key=lambda r: r.get("viewers", 0))

@@ -10,7 +10,7 @@ exclusive time. This tool renders them without any dependencies:
   vafs_flame.py STACKS.folded --top N      widest-N leaf frames table
 
 Frames come from obs::SpanFrameName: round roots ("node 2 round r17"),
-waves ("wave 3"), transfers/retries/patches per request and arm. Width is
+transfers/appends/retries/patches per request ("transfer req5"). Width is
 microseconds of simulated time attributed to that path.
 """
 
