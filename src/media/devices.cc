@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 
 namespace vafs {
 
@@ -23,6 +24,7 @@ void PlaybackConsumer::BlockReady(SimTime ready_time) {
   }
   play_ends_.push_back(play_start + block_duration_);
   next_deadline_ = play_start + block_duration_;
+  last_ready_ = ready_time;
   ++blocks_ready_;
 
   // Occupancy at this instant: blocks ready whose playback has not yet
@@ -32,21 +34,34 @@ void PlaybackConsumer::BlockReady(SimTime ready_time) {
   }
   const int64_t buffered = static_cast<int64_t>(play_ends_.size() - drained_);
   max_buffered_ = std::max(max_buffered_, buffered);
+  // No query precedes this ready time, so the drained prefix is never read
+  // again.
+  if (2 * drained_ >= play_ends_.size()) {
+    play_ends_.erase(play_ends_.begin(), play_ends_.begin() + static_cast<std::ptrdiff_t>(drained_));
+    drained_ = 0;
+  }
 }
 
 int64_t PlaybackConsumer::BufferedAt(SimTime t) const {
-  const auto first_undrained =
-      std::upper_bound(play_ends_.begin(), play_ends_.end(), t);
-  return static_cast<int64_t>(play_ends_.end() - first_undrained);
+  assert(t >= last_ready_);
+  size_t first_undrained = play_ends_.size();
+  while (first_undrained > drained_ && play_ends_[first_undrained - 1] > t) {
+    --first_undrained;
+  }
+  return static_cast<int64_t>(play_ends_.size() - first_undrained);
 }
 
 SimTime PlaybackConsumer::NextDrainAfter(SimTime t) const {
-  const auto it = std::upper_bound(play_ends_.begin(), play_ends_.end(), t);
-  return it == play_ends_.end() ? -1 : *it;
+  const int64_t buffered = BufferedAt(t);
+  return buffered == 0 ? -1 : play_ends_[play_ends_.size() - static_cast<size_t>(buffered)];
 }
 
-SimTime PlaybackConsumer::playback_end() const {
-  return play_ends_.empty() ? next_deadline_ : play_ends_.back();
+SimTime PlaybackConsumer::FullUntil(int64_t cap) const {
+  assert(cap >= 1);
+  if (static_cast<int64_t>(play_ends_.size() - drained_) < cap) {
+    return -1;
+  }
+  return play_ends_[play_ends_.size() - static_cast<size_t>(cap)];
 }
 
 CaptureProducer::CaptureProducer(SimDuration block_duration, SimTime start_time,
@@ -62,7 +77,6 @@ SimTime CaptureProducer::CaptureEnd(int64_t index) const {
 
 bool CaptureProducer::BlockWritten(SimTime write_end) {
   const int64_t index = blocks_written_;
-  write_ends_.push_back(write_end);
   ++blocks_written_;
 
   // The capture of block `index + buffer_count_` begins at

@@ -51,26 +51,38 @@ class PlaybackConsumer {
   // (ready, and playback not yet finished).
   int64_t max_buffered_blocks() const { return max_buffered_; }
 
-  // Instant the last block finishes playing.
-  SimTime playback_end() const;
+  // Instant the last block finishes playing (the first deadline while no
+  // block is ready).
+  SimTime playback_end() const { return next_deadline_; }
 
-  // Blocks buffered (ready, playback not finished) at time `t`; `t` must
-  // not precede the last reported ready time.
+  // The occupancy queries below take a `t` that must not precede the last
+  // reported ready time: only the blocks still buffered then are kept, and
+  // each query scans back from the newest, O(buffered).
+
+  // Blocks buffered (ready, playback not finished) at time `t`.
   int64_t BufferedAt(SimTime t) const;
 
   // Earliest instant after `t` at which a buffered block finishes playing
   // (freeing a device buffer), or -1 if nothing is pending.
   SimTime NextDrainAfter(SimTime t) const;
 
+  // Instant up to which at least `cap` (>= 1) blocks stay buffered: the
+  // playback end of the cap-th newest block, after which a buffer is free.
+  // -1 if fewer than `cap` blocks are buffered at the last ready time.
+  SimTime FullUntil(int64_t cap) const;
+
  private:
   SimDuration block_duration_;
   SimTime next_deadline_;
+  SimTime last_ready_ = 0;
   int64_t blocks_ready_ = 0;
   int64_t violations_ = 0;
   SimDuration total_tardiness_ = 0;
   int64_t max_buffered_ = 0;
-  // End-of-playback instants of blocks already ready, in order; a prefix
-  // pointer tracks how many have drained by the latest ready time.
+  // End-of-playback instants of the blocks buffered at the last ready time,
+  // in order, behind a prefix of `drained_` instants that had passed by
+  // then. The prefix is dropped once it is half the vector, so the history
+  // stays proportional to the occupancy, not to the blocks played.
   std::vector<SimTime> play_ends_;
   size_t drained_ = 0;
 };
@@ -102,7 +114,6 @@ class CaptureProducer {
   int64_t buffer_count_;
   int64_t blocks_written_ = 0;
   int64_t overflows_ = 0;
-  std::vector<SimTime> write_ends_;
 };
 
 }  // namespace vafs

@@ -30,6 +30,7 @@ ServiceScheduler::ServiceScheduler(StrandStore* store, Simulator* simulator,
                                    AdmissionControl admission, SchedulerOptions options)
     : store_(store), simulator_(simulator), admission_(std::move(admission)), options_(options) {
   admission_.set_trace_sink(options_.trace);
+  serviced_event_.kind = obs::TraceEventKind::kRequestServiced;
 }
 
 ServiceScheduler::ActiveRequest* ServiceScheduler::FindRequest(RequestId id) {
@@ -58,6 +59,14 @@ const ServiceScheduler::ActiveRequest& ServiceScheduler::RequestAt(RequestId id)
   return const_cast<ServiceScheduler*>(this)->RequestAt(id);
 }
 
+bool ServiceScheduler::InService(RequestId id) const {
+  if (RecordOf(id).valid()) {
+    return true;
+  }
+  const RequestStats& stats = RequestAt(id).stats;
+  return !stats.completed && !stats.paused;
+}
+
 ServiceScheduler::ActiveRequest& ServiceScheduler::InsertRequest(RequestId id,
                                                                  ActiveRequest request) {
   int32_t slot_index;
@@ -67,7 +76,10 @@ ServiceScheduler::ActiveRequest& ServiceScheduler::InsertRequest(RequestId id,
   } else {
     slot_index = static_cast<int32_t>(slots_.size());
     slots_.emplace_back();
+    records_.emplace_back();
   }
+  // RetireCompletedRequests frees only slots whose record is dropped.
+  assert(!records_[static_cast<size_t>(slot_index)].valid());
   Slot& slot = slots_[static_cast<size_t>(slot_index)];
   slot.id = id;
   ++slot.generation;
@@ -83,7 +95,10 @@ ServiceScheduler::ActiveRequest& ServiceScheduler::InsertRequest(RequestId id,
 
 void ServiceScheduler::RetireCompletedRequests() {
   std::erase_if(live_ids_, [this](RequestId id) {
-    const int32_t slot_index = id_to_slot_[static_cast<size_t>(id)];
+    const int32_t slot_index = SlotOf(id);
+    if (records_[static_cast<size_t>(slot_index)].valid()) {
+      return false;
+    }
     Slot& slot = slots_[static_cast<size_t>(slot_index)];
     if (!slot.request.stats.completed) {
       return false;
@@ -264,19 +279,46 @@ template <typename Fn>
 void ServiceScheduler::ForEachWindowSector(const std::vector<RequestId>& ids, Fn&& fn) const {
   const int64_t window = CacheLookaheadBlocks();
   for (RequestId id : ids) {
+    const RoundRecord& record = RecordOf(id);
+    if (record.valid() && record.window == window) {
+      for (int64_t sector : record.sectors) {
+        fn(sector);
+      }
+      continue;
+    }
     const ActiveRequest& request = RequestAt(id);
     if (request.stats.completed || request.stats.paused || !request.playback.has_value()) {
       continue;
     }
-    const auto& blocks = request.playback->blocks;
-    const int64_t limit =
-        std::min<int64_t>(request.next_block + window, static_cast<int64_t>(blocks.size()));
-    for (int64_t b = request.next_block; b < limit; ++b) {
-      const PrimaryEntry& entry = blocks[static_cast<size_t>(b)];
-      if (!entry.IsSilence()) {
-        fn(entry.sector);
-      }
+    ForEachSectorInWindow(request, window, fn);
+  }
+}
+
+template <typename Fn>
+void ServiceScheduler::ForEachSectorInWindow(const ActiveRequest& request, int64_t window,
+                                             Fn&& fn) {
+  const auto& blocks = request.playback->blocks;
+  const int64_t limit =
+      std::min<int64_t>(request.next_block + window, static_cast<int64_t>(blocks.size()));
+  for (int64_t b = request.next_block; b < limit; ++b) {
+    const PrimaryEntry& entry = blocks[static_cast<size_t>(b)];
+    if (!entry.IsSilence()) {
+      fn(entry.sector);
     }
+  }
+}
+
+void ServiceScheduler::FillRecord(const ActiveRequest& request, int64_t cap, bool with_window) {
+  RoundRecord& record = RecordOf(request.stats.id);
+  record.full_until = request.consumer->FullUntil(cap);
+  record.cap = cap;
+  record.buffer_cap = request.buffer_cap;
+  record.block_playback = BlockPlayback(request);
+  record.window = with_window ? CacheLookaheadBlocks() : 0;
+  record.sectors.clear();
+  if (with_window) {
+    ForEachSectorInWindow(request, record.window,
+                          [&record](int64_t sector) { record.sectors.push_back(sector); });
   }
 }
 
@@ -503,6 +545,7 @@ void ServiceScheduler::UnpinPreludePages(ActiveRequest* request) {
 }
 
 void ServiceScheduler::CloseDevices(ActiveRequest* request) {
+  DropRecord(request->stats.id);
   UnpinPreludePages(request);
   FoldConsumer(request->consumer.get(), &request->stats);
   request->consumer.reset();
@@ -631,22 +674,34 @@ void ServiceScheduler::RecordSkip(ActiveRequest* request, SimTime now, int64_t s
   Emit(event);
 }
 
-void ServiceScheduler::EmitServiced(const ActiveRequest& request, SimTime now, int64_t blocks,
-                                    SimDuration duration) const {
+SimDuration ServiceScheduler::BlockPlayback(const ActiveRequest& request) {
+  return request.playback.has_value() ? EffectiveBlockDuration(*request.playback)
+                                      : RecordingBlockDuration(*request.recording);
+}
+
+void ServiceScheduler::EmitServiced(RequestId id, SimDuration block_playback, SimTime now,
+                                    int64_t blocks, SimDuration duration) {
   if (options_.trace == nullptr) {
     return;
   }
-  obs::TraceEvent event = TraceContext(obs::TraceEventKind::kRequestServiced, request.stats.id);
+  // The TraceContext fields plus the serviced ones; the event's other
+  // fields keep the defaults it was built with.
+  obs::TraceEvent& event = serviced_event_;
+  event.request = id;
   event.time = now;
+  event.round = rounds_;
+  event.k = current_k_;
+  event.node = options_.node;
+  event.slots = Snapshot();
   event.blocks = blocks;
   event.duration = duration;
   event.round_budget = round_budget_;
-  event.block_playback = request.playback.has_value() ? EffectiveBlockDuration(*request.playback)
-                                                      : RecordingBlockDuration(*request.recording);
+  event.block_playback = block_playback;
   Emit(event);
 }
 
 void ServiceScheduler::ReportPlaybackReady(ActiveRequest* request, SimTime ready_time) {
+  DropRecord(request->stats.id);
   PlaybackRequest& playback = *request->playback;
   if (request->consumer == nullptr) {
     request->prelude_ready_times.push_back(ready_time);
@@ -677,7 +732,7 @@ void ServiceScheduler::ReportPlaybackReady(ActiveRequest* request, SimTime ready
 
 int64_t ServiceScheduler::ServicePlayback(ActiveRequest* request, SimTime* now) {
   PlaybackRequest& playback = *request->playback;
-  const int64_t cap = request->buffer_cap > 0 ? request->buffer_cap : 2 * current_k_;
+  const int64_t cap = CapFor(request->buffer_cap);
   int64_t transferred = 0;
   while (transferred < current_k_ &&
          request->next_block < static_cast<int64_t>(playback.blocks.size())) {
@@ -778,13 +833,15 @@ void ServiceScheduler::ComputeRoundBudget() {
   // while the round still fits inside it.
   round_budget_ = 0;
   for (RequestId id : service_order_) {
-    const ActiveRequest& request = RequestAt(id);
-    if (request.stats.completed || request.stats.paused) {
-      continue;
+    const RoundRecord& record = RecordOf(id);
+    SimDuration block_playback = record.block_playback;
+    if (!record.valid()) {
+      const ActiveRequest& request = RequestAt(id);
+      if (request.stats.completed || request.stats.paused) {
+        continue;
+      }
+      block_playback = BlockPlayback(request);
     }
-    const SimDuration block_playback = request.playback.has_value()
-                                           ? EffectiveBlockDuration(*request.playback)
-                                           : RecordingBlockDuration(*request.recording);
     const SimDuration budget = current_k_ * block_playback;
     if (round_budget_ == 0 || budget < round_budget_) {
       round_budget_ = budget;
@@ -799,8 +856,10 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
   // with a steady rotation the resize is a no-op and nothing allocates.
   size_t used = 0;
   for (RequestId id : service_order_) {
-    ActiveRequest& request = RequestAt(id);
-    if (request.stats.completed || request.stats.paused) {
+    const RoundRecord& record = RecordOf(id);
+    const bool full = record.valid() && record.full_until > round_start &&
+                      record.cap == CapFor(record.buffer_cap);
+    if (!full && !InService(id)) {
       continue;
     }
     if (used == plan_inputs_.size()) {
@@ -811,6 +870,10 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
     input.blocks.clear();
     input.append_blocks = 0;
     input.append_position_sector = 0;
+    if (full) {
+      continue;  // no room this round: an empty input
+    }
+    ActiveRequest& request = RequestAt(id);
     if (request.playback.has_value()) {
       PlaybackRequest& playback = *request.playback;
       const int64_t size = static_cast<int64_t>(playback.blocks.size());
@@ -818,8 +881,11 @@ const std::vector<PlanInput>& ServiceScheduler::BuildPlanInputs(SimTime round_st
       if (request.consumer != nullptr) {
         // Device-buffer backpressure, evaluated once at plan time: the
         // round fetches at most the room available at its start.
-        const int64_t cap = request.buffer_cap > 0 ? request.buffer_cap : 2 * current_k_;
+        const int64_t cap = CapFor(request.buffer_cap);
         const int64_t room = cap - request.consumer->BufferedAt(round_start);
+        if (room == 0) {
+          FillRecord(request, cap, cache != nullptr);
+        }
         target = std::min(target, std::max<int64_t>(room, 0));
       }
       int64_t data = 0;
@@ -875,7 +941,7 @@ std::vector<RequestId> ServiceScheduler::CollapsedCacheAdmissions(
   // collapsed list (and the revocation Pause order) stays id-ascending.
   std::map<uint64_t, std::pair<int64_t, int64_t>> demand;  // request -> (data, free)
   for (const PlanInput& input : inputs) {
-    if (!cache_admitted(input.request)) {
+    if (input.blocks.empty() || !cache_admitted(input.request)) {
       continue;
     }
     for (const PlanCandidate& candidate : input.blocks) {
@@ -1179,6 +1245,12 @@ int64_t ServiceScheduler::AccountRound(const std::vector<PlanInput>& inputs, Sim
   for (const PlanInput& input : inputs) {
     const size_t first_slot = slot;
     slot += input.blocks.size();
+    if (input.blocks.empty() && RecordOf(input.request).valid()) {
+      // Full all round (a valid record has been serviced before, so its
+      // start time is set): no block, no disk time.
+      EmitServiced(input.request, RecordOf(input.request).block_playback, now, 0, 0);
+      continue;
+    }
     ActiveRequest* request = FindRequest(input.request);
     if (request == nullptr || request->stats.completed || request->stats.paused) {
       continue;
@@ -1209,7 +1281,8 @@ int64_t ServiceScheduler::AccountRound(const std::vector<PlanInput>& inputs, Sim
     }
     transferred_total += moved;
     const auto attributed = attributed_.find(input.request);
-    EmitServiced(*request, now, moved, attributed != attributed_.end() ? attributed->second : 0);
+    EmitServiced(input.request, BlockPlayback(*request), now, moved,
+                 attributed != attributed_.end() ? attributed->second : 0);
   }
 
   if (options_.trace != nullptr && dispatch_ops_ > 0) {
@@ -1257,7 +1330,7 @@ int64_t ServiceScheduler::RunPerRequestRound(SimTime* now) {
       EmitSpan(stage, span_id, span_.root, *now, *now - service_start, id, span_.active_seek,
                transferred, /*sector=*/0);
     }
-    EmitServiced(request, *now, transferred, *now - service_start);
+    EmitServiced(id, BlockPlayback(request), *now, transferred, *now - service_start);
   }
   return transferred_total;
 }
@@ -1361,15 +1434,14 @@ void ServiceScheduler::RunRound() {
   // Lazy (round-edge only) so that mid-round completions stay addressable
   // until every rider settles.
   std::erase_if(service_order_, [this](RequestId id) {
-    return RequestAt(id).stats.completed;
+    return !RecordOf(id).valid() && RequestAt(id).stats.completed;
   });
   RetireCompletedRequests();
 
+  // Completed requests are gone from the rotation, so in service = unpaused.
   const bool have_work =
-      !pending_.empty() ||
-      std::any_of(service_order_.begin(), service_order_.end(), [this](RequestId id) {
-        return !RequestAt(id).stats.paused;
-      });
+      !pending_.empty() || std::any_of(service_order_.begin(), service_order_.end(),
+                                       [this](RequestId id) { return InService(id); });
   if (!have_work) {
     return;
   }
@@ -1381,6 +1453,14 @@ void ServiceScheduler::RunRound() {
   // the earliest instant more work exists instead of spinning.
   SimTime wake = -1;
   for (RequestId id : service_order_) {
+    const RoundRecord& record = RecordOf(id);
+    if (record.valid() && record.full_until > now) {
+      // Exactly cap blocks stay buffered until then: it is the next drain.
+      if (wake < 0 || record.full_until < wake) {
+        wake = record.full_until;
+      }
+      continue;
+    }
     const ActiveRequest& request = RequestAt(id);
     if (request.stats.completed || request.stats.paused) {
       continue;
@@ -1450,6 +1530,7 @@ Status ServiceScheduler::Pause(RequestId id, bool destructive) {
   });
   // Deadlines do not survive a pause: fold what the consumer saw and
   // restart the anti-jitter prelude on resume.
+  DropRecord(id);
   UnpinPreludePages(&request);
   FoldConsumer(request.consumer.get(), &request.stats);
   request.consumer.reset();

@@ -26,6 +26,13 @@
 // worst-case alpha/beta; the planner only converts the difference between
 // that bound and the realized mechanism into slack (plus, with cache-aware
 // admission, into extra streams).
+//
+// Every admitted stream is serviced once per round, but a stream whose
+// device buffers are full moves nothing (Section 3.3.2), and at flash-class
+// speeds that is most stream-rounds. For such a stream the planned round
+// keeps a per-slot round record (the instant it next has room, its window
+// sectors), so each per-round walk reads the record instead of the request
+// and an idle stream-round costs one record read plus its serviced event.
 
 #ifndef VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
 #define VAFS_SRC_MSM_SERVICE_SCHEDULER_H_
@@ -269,6 +276,40 @@ class ServiceScheduler {
     ActiveRequest request;
   };
 
+  // --- Round record (DESIGN.md section 15) ----------------------------------
+  // One per slot, beside the slot table. BuildPlanInputs fills it for a
+  // playback stream whose device buffer holds exactly its cap: until
+  // `full_until` the stream has no room, and its next drain is `full_until`.
+  // It also keeps the stream's block playback time and, with a cache, the
+  // sectors of its lookahead window of `window` blocks. A valid record implies
+  // an active, unpaused, uncompleted stream with a consumer and an unchanged
+  // next_block: ReportPlaybackReady, Pause and CloseDevices drop it, and a
+  // slot is retired only once its record is dropped, so a reused slot starts
+  // without one. A k step that moves the 2k cap, or W, makes it miss. Every
+  // per-round walk reads the record before the request, so an idle
+  // stream-round costs one record read plus its one event.
+  struct RoundRecord {
+    static constexpr SimTime kDropped = -1;
+    SimTime full_until = kDropped;
+    int64_t cap = 0;         // the cap full_until was computed for
+    int64_t buffer_cap = 0;  // the request's device_buffers (0 = 2k)
+    SimDuration block_playback = 0;
+    int64_t window = 0;  // W the sectors were filled at; 0 = not filled
+    std::vector<int64_t> sectors;
+
+    bool valid() const { return full_until != kDropped; }
+  };
+  RoundRecord& RecordOf(RequestId id) { return records_[static_cast<size_t>(SlotOf(id))]; }
+  const RoundRecord& RecordOf(RequestId id) const {
+    return records_[static_cast<size_t>(SlotOf(id))];
+  }
+  void DropRecord(RequestId id) { RecordOf(id).full_until = RoundRecord::kDropped; }
+  // Neither completed nor paused; a valid record answers without the slot.
+  bool InService(RequestId id) const;
+  int32_t SlotOf(RequestId id) const { return id_to_slot_[static_cast<size_t>(id)]; }
+  // Device buffers the stream may fill: its own count, else 2k.
+  int64_t CapFor(int64_t buffer_cap) const { return buffer_cap > 0 ? buffer_cap : 2 * current_k_; }
+
   ActiveRequest* FindRequest(RequestId id);
   const ActiveRequest* FindRequest(RequestId id) const;
   // Must exist (asserts): the hot-path lookup for rotation members.
@@ -355,9 +396,12 @@ class ServiceScheduler {
   // round budget; appends carry neither.
   void RecordSkip(ActiveRequest* request, SimTime now, int64_t sector, int64_t sectors,
                   SimDuration budget, std::string_view detail);
-  // The one kRequestServiced emitter of both executors.
-  void EmitServiced(const ActiveRequest& request, SimTime now, int64_t blocks,
-                    SimDuration duration) const;
+  // The one kRequestServiced emitter of both executors. It rewrites every
+  // field the event carries into serviced_event_ and emits that one event.
+  void EmitServiced(RequestId id, SimDuration block_playback, SimTime now, int64_t blocks,
+                    SimDuration duration);
+  // Playback (or capture) duration of one of the request's blocks.
+  static SimDuration BlockPlayback(const ActiveRequest& request);
   // Reports the next playback block ready at `ready_time`: runs the
   // anti-jitter prelude until read-ahead is met, then feeds the consumer;
   // advances next_block / blocks_done.
@@ -394,6 +438,12 @@ class ServiceScheduler {
   // listed playback request that is neither completed nor paused.
   template <typename Fn>
   void ForEachWindowSector(const std::vector<RequestId>& ids, Fn&& fn) const;
+  // The same for one playback request over a window of `window` blocks.
+  template <typename Fn>
+  static void ForEachSectorInWindow(const ActiveRequest& request, int64_t window, Fn&& fn);
+  // Fills the round record of a playback stream whose buffer holds exactly
+  // `cap` blocks at plan time; `with_window` also caches its window sectors.
+  void FillRecord(const ActiveRequest& request, int64_t cap, bool with_window);
 
   // Window demand counted only for the sectors a caller asks about: Ask()
   // each, Seal(), pass every window entry to Count(), then read Of(). A
@@ -509,6 +559,7 @@ class ServiceScheduler {
   // arriving mid-round (session layer callbacks) cannot dangle the round's
   // in-flight references the way a reallocating vector would.
   std::deque<Slot> slots_;
+  std::vector<RoundRecord> records_;  // by slot index, beside slots_
   std::vector<int32_t> free_slots_;
   std::vector<int32_t> id_to_slot_;  // by RequestId; -1 = unknown or retired
   std::vector<RequestId> live_ids_;  // ascending (ids are issued monotonically)
@@ -537,6 +588,8 @@ class ServiceScheduler {
   // that moved data get an entry; AccountRound reads them with find.
   std::unordered_map<uint64_t, SimDuration> attributed_;
   std::unordered_map<uint64_t, int64_t> append_done_;
+  // The kRequestServiced event, built once and rewritten per stream-round.
+  obs::TraceEvent serviced_event_;
   // Window entries of the rotation on the sectors this round's plan reads:
   // the only sectors RecordExtent asks about for its eviction bias.
   SectorTally bias_tally_;

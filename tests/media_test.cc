@@ -205,6 +205,77 @@ TEST(PlaybackConsumerTest, BufferOccupancyTracksUnplayedBlocks) {
   EXPECT_EQ(consumer.playback_end(), 500'000);
 }
 
+TEST(PlaybackConsumerTest, TailScanOccupancyMatchesAFullHistoryReference) {
+  // 60k blocks: bursts, waits for a free buffer, and late blocks that
+  // glitch and shift every later deadline. The reference keeps every
+  // block's end instant and answers with std::upper_bound; the consumer
+  // keeps only what is still buffered and scans back from the newest.
+  constexpr SimDuration kBlock = 33'333;
+  constexpr int64_t kBlocks = 60'000;
+  constexpr int64_t kBuffers = 8;
+  PlaybackConsumer consumer(kBlock, 0, 2 * kBlock);
+  Prng rng(20261018);
+  std::vector<SimTime> ends;
+  const auto buffered = [&ends](SimTime t) {
+    return static_cast<int64_t>(ends.end() - std::upper_bound(ends.begin(), ends.end(), t));
+  };
+  const auto next_drain = [&ends](SimTime t) {
+    const auto it = std::upper_bound(ends.begin(), ends.end(), t);
+    return it == ends.end() ? SimTime{-1} : *it;
+  };
+  SimTime deadline = 2 * kBlock;
+  SimTime ready = 0;
+  int64_t violations = 0;
+  int64_t max_buffered = 0;
+  for (int64_t b = 0; b < kBlocks; ++b) {
+    const uint64_t roll = rng.NextBelow(100);
+    if (roll < 2) {
+      ready = std::max(ready, deadline + 1 + static_cast<SimTime>(rng.NextBelow(3 * kBlock)));
+    } else if (roll < 60 && buffered(ready) >= kBuffers) {
+      ready = ends[ends.size() - kBuffers];  // the first instant a buffer is free
+    } else if (roll < 90) {
+      ready += static_cast<SimTime>(rng.NextBelow(kBlock));
+    }
+    consumer.BlockReady(ready);
+    if (ready > deadline) {
+      ++violations;
+      deadline = ready;
+    }
+    deadline += kBlock;
+    ends.push_back(deadline);
+    max_buffered = std::max(max_buffered, buffered(ready));
+
+    const int64_t held = buffered(ready);
+    std::vector<SimTime> queries = {ready, ready + 1, ends.back() - 1, ends.back(),
+                                    ends.back() + kBlock};
+    const SimTime some_end = ends[ends.size() - 1 - rng.NextBelow(static_cast<uint64_t>(held))];
+    queries.insert(queries.end(), {some_end - 1, some_end, some_end + 1});
+    for (SimTime t : queries) {
+      if (t < ready) {
+        continue;
+      }
+      ASSERT_EQ(consumer.BufferedAt(t), buffered(t)) << "block " << b << " t=" << t;
+      ASSERT_EQ(consumer.NextDrainAfter(t), next_drain(t)) << "block " << b << " t=" << t;
+    }
+    for (int64_t cap = 1; cap <= held + 1; ++cap) {
+      const SimTime until = consumer.FullUntil(cap);
+      if (cap > held) {
+        ASSERT_EQ(until, -1) << "block " << b;
+        continue;
+      }
+      // The cap-th newest block's end: full just before it, not from it on.
+      ASSERT_GE(buffered(until - 1), cap) << "block " << b << " cap " << cap;
+      ASSERT_LT(buffered(until), cap) << "block " << b << " cap " << cap;
+    }
+  }
+  EXPECT_EQ(consumer.blocks_ready(), kBlocks);
+  EXPECT_EQ(consumer.violations(), violations);
+  EXPECT_GT(violations, 100);
+  EXPECT_EQ(consumer.max_buffered_blocks(), max_buffered);
+  EXPECT_GT(max_buffered, kBuffers);
+  EXPECT_EQ(consumer.playback_end(), ends.back());
+}
+
 TEST(CaptureProducerTest, CaptureEndsAreSpaced) {
   CaptureProducer producer(100'000, 50'000, 2);
   EXPECT_EQ(producer.CaptureEnd(0), 150'000);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -10,7 +11,9 @@
 #include "src/msm/block_cache.h"
 #include "src/msm/recorder.h"
 #include "src/msm/service_scheduler.h"
+#include "src/msm/session_manager.h"
 #include "src/obs/auditor.h"
+#include "src/obs/slo.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
 #include "src/util/prng.h"
@@ -1175,6 +1178,319 @@ TEST_F(EvictionBiasTest, RepeatedClipInOneWindowCountsTwice) {
   EXPECT_GT(checked, 3);
   EXPECT_GT(cache_->stats().evictions, 0);
   scheduler_->RunUntilIdle();
+}
+
+// Runs in which most stream-rounds find the device buffer full, so the
+// scheduler's per-slot round record answers for them. Each run forces one
+// way the record must be dropped or must miss, and pins the run's trace and
+// SLO report as the scheduler computed them before the record existed.
+class RoundRecordTest : public SchedulerTest {
+ protected:
+  RoundRecordTest() : cache_(BlockCacheOptions{.capacity_bytes = 24 * 8192}) {
+    tee_.Add(&slo_);
+    tee_.Add(&probe_);
+  }
+
+  // Remembers the blocks of each request's latest kRequestServiced, and
+  // the k of the first round of its current run of full rounds.
+  class ServicedProbe : public obs::TraceSink {
+   public:
+    void OnEvent(const obs::TraceEvent& event) override {
+      if (event.kind != obs::TraceEventKind::kRequestServiced) {
+        return;
+      }
+      if (event.blocks != 0) {
+        full_since_k_[event.request] = -1;
+      } else if (LastBlocks(event.request) != 0) {
+        full_since_k_[event.request] = event.k;
+      }
+      last_blocks_[event.request] = event.blocks;
+    }
+    int64_t LastBlocks(RequestId id) const {
+      const auto it = last_blocks_.find(id);
+      return it == last_blocks_.end() ? -1 : it->second;
+    }
+    int64_t FullSinceK(RequestId id) const {
+      const auto it = full_since_k_.find(id);
+      return it == full_since_k_.end() ? -1 : it->second;
+    }
+
+   private:
+    std::map<RequestId, int64_t> last_blocks_;
+    std::map<RequestId, int64_t> full_since_k_;
+  };
+
+  // Steps the simulator until the request's latest round found its buffer
+  // full (serviced, nothing moved).
+  void StepUntilFull(RequestId id) {
+    do {
+      ASSERT_TRUE(sim_.Step());
+    } while (probe_.LastBlocks(id) != 0);
+  }
+
+  SchedulerOptions Planned() {
+    SchedulerOptions options = Traced();
+    options.service_order = ServiceOrder::kPlanned;
+    options.block_cache = &cache_;
+    return options;
+  }
+
+  static uint64_t Fnv(const std::string& text, uint64_t digest = 14695981039346656037ULL) {
+    for (const char c : text) {
+      digest = (digest ^ static_cast<uint8_t>(c)) * 1099511628211ULL;
+    }
+    return digest;
+  }
+  // Every logged event's rendered line plus the fields it leaves out: the
+  // serviced event's block playback and the slot ledger.
+  uint64_t TraceDigest() const {
+    uint64_t digest = 14695981039346656037ULL;
+    for (const obs::TraceEvent& event : log_.events()) {
+      const obs::SlotSnapshot& slots = event.slots;
+      digest = Fnv(obs::TraceEventSummary(event) + " playback=" +
+                       std::to_string(event.block_playback) + " slots=" +
+                       std::to_string(slots.active) + "/" + std::to_string(slots.pending) + "/" +
+                       std::to_string(slots.paused_nondestructive) + "/" +
+                       std::to_string(slots.paused_destructive) + "/" +
+                       std::to_string(slots.cache_tenants) + "\n",
+                   digest);
+    }
+    return digest;
+  }
+  uint64_t SloDigest() const { return Fnv(slo_.Report().ToJson()); }
+  // A playback on 2 device buffers: past the Eq. 17 ceiling k is large, and
+  // only a small cap still leaves its buffer full for whole rounds.
+  PlaybackRequest OnTwoBuffers(double duration_sec, uint64_t seed) {
+    PlaybackRequest request = MakePlayback(duration_sec, seed);
+    request.device_buffers = 2;
+    return request;
+  }
+  // Serviced stream-rounds that moved nothing.
+  int64_t IdleStreamRounds() const {
+    int64_t idle = 0;
+    for (const obs::TraceEvent& event : log_.events()) {
+      idle += event.kind == obs::TraceEventKind::kRequestServiced && event.blocks == 0 ? 1 : 0;
+    }
+    return idle;
+  }
+  // The run went through the record often, and its trace and SLO report
+  // are the pinned ones.
+  void ExpectPinned(uint64_t trace, uint64_t slo) {
+    EXPECT_GT(IdleStreamRounds(), 50);
+    EXPECT_EQ(TraceDigest(), trace);
+    EXPECT_EQ(SloDigest(), slo);
+  }
+
+  BlockCache cache_;
+  obs::SloTracker slo_;
+  ServicedProbe probe_;
+};
+
+TEST_F(RoundRecordTest, KStepMovesTheCapOfAFullStream) {
+  // Two viewers fill their 2k buffers at k = 1 and idle between drains;
+  // later arrivals raise k one step per round, and each step raises the cap
+  // of the full streams, which then have room again.
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), Planned());
+  std::vector<PlaybackRequest> titles;
+  for (int i = 0; i < 8; ++i) {
+    titles.push_back(MakePlayback(4.0, 900 + i));
+  }
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(titles[static_cast<size_t>(i)]).ok());
+  }
+  sim_.RunUntil(SecondsToUsec(1.0));
+  for (size_t i = 2; i < titles.size(); ++i) {
+    Result<RequestId> id = scheduler.SubmitPlayback(titles[i]);
+    if (!id.ok()) {
+      break;
+    }
+  }
+  scheduler.RunUntilIdle();
+  ExpectPinned(0x3154b8b9e62cedfcULL, 0xd49c694b7f1a088aULL);
+}
+
+TEST_F(RoundRecordTest, NonDestructivePauseOfABufferedStream) {
+  // Paused while full, the viewer leaves the rounds until it resumes, and
+  // then restarts its prelude: the pause must end the full run.
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), Planned());
+  std::vector<RequestId> ids;
+  for (int i = 0; i < 3; ++i) {
+    Result<RequestId> id = scheduler.SubmitPlayback(MakePlayback(4.0, 920 + i));
+    ASSERT_TRUE(id.ok());
+    ids.push_back(*id);
+  }
+  sim_.RunUntil(SecondsToUsec(1.0));
+  StepUntilFull(ids[1]);
+  ASSERT_TRUE(scheduler.Pause(ids[1], /*destructive=*/false).ok());
+  sim_.RunUntil(SecondsToUsec(1.5));
+  ASSERT_TRUE(scheduler.Resume(ids[1]).ok());
+  scheduler.RunUntilIdle();
+  EXPECT_TRUE(scheduler.stats(ids[1])->completed);
+  ExpectPinned(0x74aa5ed63addc171ULL, 0xf6eaf8e14e05a0a3ULL);
+}
+
+TEST_F(RoundRecordTest, StopOfABufferedStream) {
+  // Cache-aware admission counts the live streams' windows. A stopped
+  // leader's window must not count: a viewer of its remaining blocks past
+  // the Eq. 17 ceiling finds nothing scheduled and is rejected.
+  SchedulerOptions options = Planned();
+  options.cache_aware_admission = true;
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  const PlaybackRequest title = OnTwoBuffers(4.0, 930);
+  Result<RequestId> leader = scheduler.SubmitPlayback(title);
+  ASSERT_TRUE(leader.ok());
+  for (int i = 0; i < 64; ++i) {
+    if (!scheduler.SubmitPlayback(OnTwoBuffers(4.0, 931 + i)).ok()) {
+      break;
+    }
+  }
+  sim_.RunUntil(SecondsToUsec(1.5));
+  StepUntilFull(*leader);
+  const int64_t done = scheduler.stats(*leader)->blocks_done;
+  ASSERT_TRUE(scheduler.Stop(*leader).ok());
+  // The leader's slot goes to a fresh filler; the late viewer finds none.
+  ASSERT_TRUE(scheduler.SubmitPlayback(OnTwoBuffers(4.0, 999)).ok());
+  PlaybackRequest rest = title;
+  rest.blocks.erase(rest.blocks.begin(), rest.blocks.begin() + done);
+  EXPECT_FALSE(scheduler.SubmitPlayback(rest).ok());
+  scheduler.RunUntilIdle();
+  ExpectPinned(0xb25a488493ba10b9ULL, 0x2dce4448a288da74ULL);
+}
+
+TEST_F(RoundRecordTest, CoverageCountsEachLiveWindowAsItStands) {
+  // Cache-aware admission counts the live streams' lookahead windows of W
+  // = max(4k, 8) blocks. A candidate for the title a live stream plays,
+  // starting 0.4 W blocks past that stream, is covered on exactly 60% of
+  // its window by it: admitted only if that window is counted as it
+  // stands, after the stream's latest reads and at the current k. The
+  // candidates claim a 1000x frame rate, which the Eq. 17 test rejects.
+  SchedulerOptions options = Planned();
+  options.cache_aware_admission = true;
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  PlaybackRequest title = MakePlayback(8.0, 970);
+  title.device_buffers = 2;
+  Result<RequestId> viewer = scheduler.SubmitPlayback(title);
+  ASSERT_TRUE(viewer.ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(MakePlayback(8.0, 971 + i)).ok());
+  }
+  const auto submit_candidate = [&]() {
+    const int64_t window = std::max<int64_t>(4 * scheduler.current_k(), 8);
+    const int64_t from = scheduler.stats(*viewer)->blocks_done + 2 * window / 5;
+    PlaybackRequest candidate = title;
+    candidate.blocks.erase(candidate.blocks.begin(), candidate.blocks.begin() + from);
+    candidate.spec.profile.units_per_sec *= 1000;
+    Result<RequestId> id = scheduler.SubmitPlayback(candidate);
+    EXPECT_TRUE(id.ok()) << id.status().ToString();
+    return id.ok() && scheduler.stats(*id)->cache_admitted;
+  };
+
+  // Right after the viewer's first read that follows a full round.
+  sim_.RunUntil(SecondsToUsec(1.0));
+  StepUntilFull(*viewer);
+  while (probe_.LastBlocks(*viewer) == 0) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  EXPECT_TRUE(submit_candidate());
+
+  // While the viewer stays full across k steps that grow W.
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(MakePlayback(8.0, 973 + i)).ok());
+  }
+  const auto window_of = [](int64_t k) { return std::max<int64_t>(4 * k, 8); };
+  do {
+    ASSERT_TRUE(sim_.Step());
+  } while (probe_.LastBlocks(*viewer) != 0 || probe_.FullSinceK(*viewer) < 0 ||
+           window_of(probe_.FullSinceK(*viewer)) == window_of(scheduler.current_k()));
+  EXPECT_TRUE(submit_candidate());
+  scheduler.RunUntilIdle();
+  ExpectPinned(0x72ec3fea66fa8734ULL, 0x4e5a1418f9f7a515ULL);
+}
+
+TEST_F(RoundRecordTest, SessionPatchMergesAndIsStopped) {
+  // A catch-up patch completes and merges into its leader; stopping the
+  // done patch is a no-op, and the leader is then stopped mid-title.
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), Planned());
+  SessionManager sessions(&scheduler, &sim_, &cache_, &tee_,
+                          SessionOptions{.enabled = true,
+                                         .batch_window_sec = 0.5,
+                                         .max_patch_blocks = 64,
+                                         .runway_margin_blocks = 0});
+  scheduler.set_lifecycle_listener(&sessions);
+  const PlaybackRequest title = MakePlayback(4.0, 940);
+  Result<SessionTicket> leader = sessions.Open(/*title=*/0, title);
+  ASSERT_TRUE(leader.ok());
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(MakePlayback(4.0, 941 + i)).ok());
+  }
+  sim_.RunUntil(SecondsToUsec(1.0));
+  Result<SessionTicket> rider = sessions.Open(/*title=*/0, title);
+  ASSERT_TRUE(rider.ok());
+  ASSERT_EQ(rider->mode, SessionTicket::Mode::kPatched);
+  while (sessions.census().merged == 0) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  ASSERT_TRUE(scheduler.Stop(rider->patch_request).ok());
+  sim_.RunUntil(sim_.Now() + SecondsToUsec(0.5));
+  ASSERT_TRUE(scheduler.Stop(leader->request).ok());
+  scheduler.RunUntilIdle();
+  EXPECT_EQ(sessions.census().merged, 1);
+  scheduler.set_lifecycle_listener(nullptr);
+  ExpectPinned(0xca0f1cd38c081e26ULL, 0xa3c1d1eda3c46ae0ULL);
+}
+
+TEST_F(RoundRecordTest, CacheAdmissionRevocation) {
+  // A cache-admitted rider loses its leader mid-title; the revocation
+  // destructively pauses it, and it resumes under plain admission.
+  SchedulerOptions options = Planned();
+  options.cache_aware_admission = true;
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  const PlaybackRequest title = OnTwoBuffers(4.0, 950);
+  Result<RequestId> leader = scheduler.SubmitPlayback(title);
+  ASSERT_TRUE(leader.ok());
+  for (int i = 0; i < 64; ++i) {
+    if (!scheduler.SubmitPlayback(OnTwoBuffers(4.0, 951 + i)).ok()) {
+      break;
+    }
+  }
+  Result<RequestId> rider = scheduler.SubmitPlayback(title);
+  ASSERT_TRUE(rider.ok());
+  ASSERT_TRUE(scheduler.stats(*rider)->cache_admitted);
+  sim_.RunUntil(SecondsToUsec(1.5));
+  ASSERT_TRUE(scheduler.Stop(*leader).ok());
+  while (!scheduler.stats(*rider)->paused && !scheduler.stats(*rider)->completed) {
+    ASSERT_TRUE(sim_.Step());
+  }
+  ASSERT_TRUE(scheduler.stats(*rider)->paused);
+  sim_.RunUntil(sim_.Now() + SecondsToUsec(0.2));
+  ASSERT_TRUE(scheduler.Resume(*rider).ok());
+  scheduler.RunUntilIdle();
+  EXPECT_TRUE(scheduler.stats(*rider)->completed);
+  ExpectPinned(0x4cad20588730ab97ULL, 0xd7b59ddcd89f1242ULL);
+}
+
+TEST_F(RoundRecordTest, RepeatedClipRopeCountsItsWindowTwice) {
+  // A rope that plays a 3-block clip, 2 other blocks, then the clip again,
+  // several times over: a full viewer's window holds each clip block twice
+  // when it first reads it, so those fills are biased and outlive the
+  // fillers' plain ones in a small cache.
+  BlockCache cache(BlockCacheOptions{.capacity_bytes = 6 * 8192});
+  SchedulerOptions options = Planned();
+  options.block_cache = &cache;
+  ServiceScheduler scheduler(&store_, &sim_, MakeAdmission(), options);
+  const PlaybackRequest title = MakePlayback(8.0, 960);
+  PlaybackRequest rope = title;
+  for (int64_t clip = 50; clip >= 5; clip -= 9) {
+    rope.blocks.insert(rope.blocks.begin() + clip + 5, title.blocks.begin() + clip,
+                       title.blocks.begin() + clip + 3);
+  }
+  ASSERT_TRUE(scheduler.SubmitPlayback(rope).ok());
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(scheduler.SubmitPlayback(MakePlayback(6.0, 961 + i)).ok());
+  }
+  scheduler.RunUntilIdle();
+  EXPECT_GT(cache.stats().evictions, 0);
+  ExpectPinned(0x7f4855cab6c942b1ULL, 0xb8e5b91be3483ec9ULL);
 }
 
 TEST_F(SchedulerTest, EmptyRequestsRejected) {
