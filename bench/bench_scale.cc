@@ -82,7 +82,6 @@ uint64_t FnvOf(const std::string& text) {
 }
 
 struct ScaleOutcome {
-  const char* part = "sweep";
   int64_t viewers = 0;
   int64_t admitted = 0;
   int64_t sessions_batched = 0;
@@ -233,7 +232,7 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
     const ScaleOutcome& run = outcomes[i];
     std::fprintf(
         file,
-        "      {\"part\": \"%s\", \"viewers\": %lld,\n"
+        "      {\"viewers\": %lld,\n"
         "       \"admitted\": %lld, \"sessions_batched\": %lld, \"sessions_merged\": %lld,\n"
         "       \"wall_sec\": %.6f, \"rounds\": %lld, \"rounds_per_sec\": %.3f,\n"
         "       \"served_stream_rounds\": %lld, \"stream_round_cost_wall_sec\": %.6f,\n"
@@ -241,7 +240,7 @@ void WriteScaleJson(const std::vector<ScaleOutcome>& outcomes) {
         "       \"slo_digest\": \"%016" PRIx64 "\", \"audit_digest\": \"%016" PRIx64 "\",\n"
         "       \"completion_usec\": %lld,\n"
         "       \"pool_created\": %lld, \"pool_recycled\": %lld, \"pool_outstanding\": %lld}%s\n",
-        run.part, static_cast<long long>(run.viewers), static_cast<long long>(run.admitted),
+        static_cast<long long>(run.viewers), static_cast<long long>(run.admitted),
         static_cast<long long>(run.sessions_batched), static_cast<long long>(run.sessions_merged),
         run.wall_sec, static_cast<long long>(run.rounds), run.rounds_per_sec,
         static_cast<long long>(run.served_stream_rounds), run.stream_round_cost_wall_sec,
@@ -279,12 +278,12 @@ void PrintScaleTables() {
     outcomes.push_back(RunSweep(viewers));
   }
 
-  std::printf("%6s | %7s | %9s | %7s | %10s | %11s | %11s | %16s\n", "part", "viewers",
-              "wall (s)", "rounds", "served", "rounds/sec", "us/strm-rnd", "trace digest");
+  std::printf("%7s | %9s | %7s | %10s | %11s | %11s | %16s\n", "viewers", "wall (s)", "rounds",
+              "served", "rounds/sec", "us/strm-rnd", "trace digest");
   for (const ScaleOutcome& run : outcomes) {
-    std::printf("%6s | %7" PRId64 " | %9.3f | %7" PRId64 " | %10" PRId64
-                " | %11.1f | %11.3f | %016" PRIx64 "\n",
-                run.part, run.viewers, run.wall_sec, run.rounds, run.served_stream_rounds,
+    std::printf("%7" PRId64 " | %9.3f | %7" PRId64 " | %10" PRId64 " | %11.1f | %11.3f | %016" PRIx64
+                "\n",
+                run.viewers, run.wall_sec, run.rounds, run.served_stream_rounds,
                 run.rounds_per_sec, run.stream_round_cost_wall_sec, run.trace_digest);
   }
   WriteScaleJson(outcomes);
