@@ -32,7 +32,9 @@ struct TransitionResult {
 
 TransitionResult RunScenario(bool stepped, int target_streams) {
   const MediaProfile video = UvcCompressedVideo();
-  Disk disk(FutureDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(FutureDisk(), disk_options);
   StrandStore store(&disk);
   ContinuityModel model(StorageTimings::FromDiskModel(disk.model()), UvcDisplay());
   const StrandPlacement placement =

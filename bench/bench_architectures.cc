@@ -73,7 +73,9 @@ struct AblationRow {
 AblationRow RunStreams(bool constrained, int n) {
   const MediaProfile video = UvcCompressedVideo();
   const double duration_sec = 20.0;
-  Disk disk(FutureDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(FutureDisk(), disk_options);
   StrandStore store(&disk);
   ContinuityModel model(StorageTimings::FromDiskModel(disk.model()), UvcDisplay());
   const StrandPlacement placement =
@@ -197,7 +199,9 @@ void RunConcurrentSimulation() {
                          : placement.status().message().c_str());
       continue;
     }
-    DiskArray array(TestbedDisk(), p, DiskOptions{.retain_data = false});
+    DiskOptions disk_options;
+    disk_options.retain_data = false;
+    DiskArray array(TestbedDisk(), p, disk_options);
     StripedStore store(&array);
     Result<StripedStrand> strand = store.Record(heavy, *placement, 15.0);
     if (!strand.ok()) {

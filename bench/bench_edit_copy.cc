@@ -62,7 +62,9 @@ void FillCylinders(StrandStore* store, int64_t first, int64_t last, int64_t free
 
 RepairMeasurement MeasureRepair(int64_t free_period) {
   const MediaProfile video = UvcCompressedVideo();
-  Disk disk(EditDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(EditDisk(), disk_options);
   StrandStore store(&disk);
   const int64_t cylinders = disk.model().params().cylinders;
   const int64_t per_cylinder = disk.model().params().SectorsPerCylinder();

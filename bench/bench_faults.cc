@@ -38,7 +38,10 @@ FaultSweepResult RunScenario(double read_fault_rate, int streams, double seconds
   FaultOptions faults;
   faults.seed = 2024;
   faults.read_fault_rate = read_fault_rate;
-  Disk disk(FutureDisk(), DiskOptions{.retain_data = false, .faults = faults});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  disk_options.faults = faults;
+  Disk disk(FutureDisk(), disk_options);
   StrandStore store(&disk);
   obs::ContinuityAuditor auditor{obs::AuditorOptions{.round_time_slack = 0.05}};
   obs::TeeSink tee;

@@ -75,7 +75,9 @@ void PrintClaim() {
 
 void BM_BatchReadThroughput(benchmark::State& state) {
   const int members = static_cast<int>(state.range(0));
-  DiskArray array(ProjectedMemberDisk(), members, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(ProjectedMemberDisk(), members, disk_options);
   std::vector<DiskArray::BatchRequest> batch;
   for (int m = 0; m < members; ++m) {
     batch.push_back({m, m * 1000, 8});  // 4 KB per member

@@ -45,7 +45,9 @@ void PrintStructureTable() {
 
 void PrintLookupCost() {
   PrintHeader("Figure 5", "simulated random-access cost into a 30-minute strand");
-  Disk disk(FutureDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(FutureDisk(), disk_options);
   StrandStore store(&disk);
   const MediaProfile video = UvcCompressedVideo();
   ContinuityModel model(StorageTimings::FromDiskModel(disk.model()), UvcDisplay());

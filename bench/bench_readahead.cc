@@ -64,7 +64,9 @@ void PrintTaskSwitchReadAhead() {
 void RunSlowMotion() {
   PrintHeader("Section 3.3.2", "slow motion: bounded buffers stop accumulation");
   const MediaProfile video = UvcCompressedVideo();
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   ContinuityModel model(StorageTimings::FromDiskModel(disk.model()), UvcDisplay());
   const StrandPlacement placement =

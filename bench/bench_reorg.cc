@@ -23,7 +23,9 @@ namespace {
 void RunCompactionStory() {
   PrintHeader("Section 6.2 (reorganization)", "fragmentation -> compaction -> placement");
   const MediaProfile video = UvcCompressedVideo();
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   RopeServer server(&store);
   const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
@@ -95,7 +97,9 @@ void RunCompactionStory() {
 void RunAnomalyStory() {
   PrintHeader("Section 6.2 (anomaly smoothing)", "audit against a recomputed bound");
   const MediaProfile video = UvcCompressedVideo();
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   RopeServer server(&store);
 
@@ -144,7 +148,9 @@ void RunAnomalyStory() {
 }
 
 void BM_AuditStrand(benchmark::State& state) {
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   ContinuityModel model(StorageTimings::FromDiskModel(disk.model()), UvcDisplay());
   const StrandPlacement placement =

@@ -77,7 +77,9 @@ struct ModeOutcome {
 ModeOutcome RunLibrary(ServiceOrder order, int n, BlockCache* cache) {
   const MediaProfile video = UvcCompressedVideo();
   const double duration = 20.0;
-  Disk disk(RoundplanDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(RoundplanDisk(), disk_options);
   StrandStore store(&disk);
   const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
   ContinuityModel model(storage, UvcDisplay());

@@ -49,7 +49,9 @@ DiskParameters ScanDisk() {
 Outcome RunStreams(ServiceOrder order, int n, int64_t forced_k) {
   const MediaProfile video = UvcCompressedVideo();
   const double duration = 20.0;
-  Disk disk(ScanDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(ScanDisk(), disk_options);
   StrandStore store(&disk);
   const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
   ContinuityModel model(storage, UvcDisplay());

@@ -24,7 +24,9 @@ struct SilenceRun {
 
 SilenceRun Record(double silence_mean_sec, int64_t granularity, double threshold,
                   uint64_t seed) {
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   SpeechProfile speech;
   speech.silence_mean_sec = silence_mean_sec;

@@ -33,7 +33,9 @@ void RunComparison() {
   const MediaProfile video = UvcCompressedVideo();
   const double duration = 60.0;
 
-  Disk disk(TestbedDisk(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestbedDisk(), disk_options);
   StrandStore store(&disk);
   const StorageTimings storage = StorageTimings::FromDiskModel(disk.model());
   ContinuityModel model(storage, UvcDisplay());

@@ -152,7 +152,9 @@ TEST(DiskTest, CountersAccumulate) {
 }
 
 TEST(DiskTest, TimingOnlyModeSkipsData) {
-  Disk disk(TestDiskParameters(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestDiskParameters(), disk_options);
   ASSERT_TRUE(disk.Write(0, 2, {}).ok());
   std::vector<uint8_t> out{1, 2, 3};
   ASSERT_TRUE(disk.Read(0, 2, &out).ok());

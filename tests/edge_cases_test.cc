@@ -45,7 +45,9 @@ TEST(CaptureOverflowTest, SlowDiskOverflowsSmallCaptureBuffers) {
   // A recording whose bit rate is close to the disk's, with competing
   // playback traffic: writes fall behind capture and the bounded device
   // buffer pool overflows — detected, not hidden.
-  Disk disk(TestDiskParameters(), DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  Disk disk(TestDiskParameters(), disk_options);
   StrandStore store(&disk);
   // Heavy video: 7 Mbit/s against the ~8.6 Mbit/s disk.
   const MediaProfile heavy{Medium::kVideo, 30.0, 233'000};

@@ -85,7 +85,9 @@ TEST(FaultInjectorTest, BadRangesDominateAndClear) {
 TEST(FaultyDiskTest, TransientFaultChargesTheMechanism) {
   FaultOptions faults;
   faults.read_fault_rate = 1.0;  // every read faults
-  Disk disk(TestDiskParameters(), DiskOptions{true, faults});
+  DiskOptions disk_options;
+  disk_options.faults = faults;
+  Disk disk(TestDiskParameters(), disk_options);
   const SimDuration expected = disk.PeekServiceTime(5000, 8);
   Result<SimDuration> read = disk.Read(5000, 8, nullptr);
   ASSERT_FALSE(read.ok());
@@ -101,7 +103,9 @@ TEST(FaultyDiskTest, BadRangeFailsUntilRelocatedSalvageSucceeds) {
   FaultOptions faults;
   faults.bad_ranges.push_back(BadRange{1000, 16});
   faults.salvage_cost_multiplier = 3.0;
-  Disk disk(TestDiskParameters(), DiskOptions{true, faults});
+  DiskOptions disk_options;
+  disk_options.faults = faults;
+  Disk disk(TestDiskParameters(), disk_options);
 
   Result<SimDuration> read = disk.Read(1000, 16, nullptr);
   ASSERT_FALSE(read.ok());
@@ -131,7 +135,9 @@ TEST(FaultyDiskTest, DisabledFaultsAreBitIdenticalToNoInjector) {
   Disk plain(TestDiskParameters());
   FaultOptions seeded_but_off;
   seeded_but_off.seed = 424242;
-  Disk seeded(TestDiskParameters(), DiskOptions{true, seeded_but_off});
+  DiskOptions disk_options;
+  disk_options.faults = seeded_but_off;
+  Disk seeded(TestDiskParameters(), disk_options);
   for (int i = 0; i < 50; ++i) {
     const int64_t sector = (i * 977) % 20000;
     Result<SimDuration> a = plain.Read(sector, 8, nullptr);
@@ -188,7 +194,9 @@ TEST(FaultyArrayTest, MemberFaultSchedulesAreDecorrelated) {
   FaultOptions faults;
   faults.seed = 11;
   faults.read_fault_rate = 0.5;
-  DiskArray array(TestDiskParameters(), 2, DiskOptions{true, faults});
+  DiskOptions disk_options;
+  disk_options.faults = faults;
+  DiskArray array(TestDiskParameters(), 2, disk_options);
   std::vector<FaultKind> member0;
   std::vector<FaultKind> member1;
   for (int i = 0; i < 100; ++i) {
@@ -221,7 +229,9 @@ struct WorkloadResult {
 // attached.
 WorkloadResult RunFaultedWorkload(const FaultOptions& faults, int streams,
                                   double duration_sec) {
-  Disk disk(TestDiskParameters(), DiskOptions{true, faults});
+  DiskOptions disk_options;
+  disk_options.faults = faults;
+  Disk disk(TestDiskParameters(), disk_options);
   StrandStore store(&disk);
   obs::TraceLog log;
   obs::ContinuityAuditor auditor{obs::AuditorOptions{.round_time_slack = 0.05}};
@@ -387,7 +397,9 @@ TEST(FaultySchedulerTest, ResumeAfterSlotGivenAwayIsRejectedUnderFaults) {
   FaultOptions faults;
   faults.seed = 9;
   faults.read_fault_rate = 0.01;
-  Disk disk(TestDiskParameters(), DiskOptions{true, faults});
+  DiskOptions disk_options;
+  disk_options.faults = faults;
+  Disk disk(TestDiskParameters(), disk_options);
   StrandStore store(&disk);
   ContinuityModel model(TestStorage(), TestVideoDevice());
   Result<StrandPlacement> placement =

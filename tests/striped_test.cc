@@ -24,7 +24,9 @@ class StripedTest : public ::testing::Test {
 };
 
 TEST_F(StripedTest, RecordStripesRoundRobin) {
-  DiskArray array(TestDiskParameters(), 4, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 4, disk_options);
   StripedStore store(&array);
   const StrandPlacement placement = PlacementFor(4, TestVideo());
   Result<StripedStrand> strand = store.Record(TestVideo(), placement, 4.0);
@@ -38,7 +40,9 @@ TEST_F(StripedTest, RecordStripesRoundRobin) {
 }
 
 TEST_F(StripedTest, PerMemberPlacementHonorsWindow) {
-  DiskArray array(TestDiskParameters(), 2, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 2, disk_options);
   StripedStore store(&array);
   const StrandPlacement placement = PlacementFor(2, TestVideo());
   Result<StripedStrand> strand = store.Record(TestVideo(), placement, 6.0);
@@ -64,7 +68,9 @@ TEST_F(StripedTest, PlaybackMeetsEquation3) {
   EXPECT_FALSE(
       single.DerivePlacement(RetrievalArchitecture::kPipelined, HeavyVideo()).ok());
 
-  DiskArray array(TestDiskParameters(), 4, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 4, disk_options);
   StripedStore store(&array);
   const StrandPlacement placement = PlacementFor(4, HeavyVideo());
   Result<StripedStrand> strand = store.Record(HeavyVideo(), placement, 5.0);
@@ -76,7 +82,9 @@ TEST_F(StripedTest, PlaybackMeetsEquation3) {
 }
 
 TEST_F(StripedTest, BufferCapBoundsAccumulation) {
-  DiskArray array(TestDiskParameters(), 4, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 4, disk_options);
   StripedStore store(&array);
   const StrandPlacement placement = PlacementFor(4, TestVideo());
   Result<StripedStrand> strand = store.Record(TestVideo(), placement, 6.0);
@@ -88,7 +96,9 @@ TEST_F(StripedTest, BufferCapBoundsAccumulation) {
 }
 
 TEST_F(StripedTest, FreeReturnsAllSpace) {
-  DiskArray array(TestDiskParameters(), 3, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 3, disk_options);
   StripedStore store(&array);
   const StrandPlacement placement = PlacementFor(3, TestVideo());
   Result<StripedStrand> strand = store.Record(TestVideo(), placement, 3.0);
@@ -100,7 +110,9 @@ TEST_F(StripedTest, FreeReturnsAllSpace) {
 }
 
 TEST_F(StripedTest, EmptyPlayRejected) {
-  DiskArray array(TestDiskParameters(), 2, DiskOptions{.retain_data = false});
+  DiskOptions disk_options;
+  disk_options.retain_data = false;
+  DiskArray array(TestDiskParameters(), 2, disk_options);
   StripedStore store(&array);
   EXPECT_FALSE(store.Play(StripedStrand{}).ok());
 }
