@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstddef>
 
 namespace vafs {
 
@@ -24,7 +23,6 @@ void PlaybackConsumer::BlockReady(SimTime ready_time) {
   }
   play_ends_.push_back(play_start + block_duration_);
   next_deadline_ = play_start + block_duration_;
-  last_ready_ = ready_time;
   ++blocks_ready_;
 
   // Occupancy at this instant: blocks ready whose playback has not yet
@@ -34,18 +32,11 @@ void PlaybackConsumer::BlockReady(SimTime ready_time) {
   }
   const int64_t buffered = static_cast<int64_t>(play_ends_.size() - drained_);
   max_buffered_ = std::max(max_buffered_, buffered);
-  // No query precedes this ready time, so the drained prefix is never read
-  // again.
-  if (2 * drained_ >= play_ends_.size()) {
-    play_ends_.erase(play_ends_.begin(), play_ends_.begin() + static_cast<std::ptrdiff_t>(drained_));
-    drained_ = 0;
-  }
 }
 
 int64_t PlaybackConsumer::BufferedAt(SimTime t) const {
-  assert(t >= last_ready_);
   size_t first_undrained = play_ends_.size();
-  while (first_undrained > drained_ && play_ends_[first_undrained - 1] > t) {
+  while (first_undrained > 0 && play_ends_[first_undrained - 1] > t) {
     --first_undrained;
   }
   return static_cast<int64_t>(play_ends_.size() - first_undrained);
@@ -58,7 +49,7 @@ SimTime PlaybackConsumer::NextDrainAfter(SimTime t) const {
 
 SimTime PlaybackConsumer::FullUntil(int64_t cap) const {
   assert(cap >= 1);
-  if (static_cast<int64_t>(play_ends_.size() - drained_) < cap) {
+  if (static_cast<int64_t>(play_ends_.size()) < cap) {
     return -1;
   }
   return play_ends_[play_ends_.size() - static_cast<size_t>(cap)];

@@ -55,9 +55,8 @@ class PlaybackConsumer {
   // block is ready).
   SimTime playback_end() const { return next_deadline_; }
 
-  // The occupancy queries below take a `t` that must not precede the last
-  // reported ready time: only the blocks still buffered then are kept, and
-  // each query scans back from the newest, O(buffered).
+  // The occupancy queries below scan back from the newest end instant, so
+  // they cost O(blocks still playing at `t`) and are exact for any `t`.
 
   // Blocks buffered (ready, playback not finished) at time `t`.
   int64_t BufferedAt(SimTime t) const;
@@ -66,23 +65,22 @@ class PlaybackConsumer {
   // (freeing a device buffer), or -1 if nothing is pending.
   SimTime NextDrainAfter(SimTime t) const;
 
-  // Instant up to which at least `cap` (>= 1) blocks stay buffered: the
-  // playback end of the cap-th newest block, after which a buffer is free.
-  // -1 if fewer than `cap` blocks are buffered at the last ready time.
+  // Instant before which at least `cap` (>= 1) blocks are buffered: the
+  // playback end of the cap-th newest block, from which a buffer is free.
+  // -1 if fewer than `cap` blocks have been ready.
   SimTime FullUntil(int64_t cap) const;
 
  private:
   SimDuration block_duration_;
   SimTime next_deadline_;
-  SimTime last_ready_ = 0;
   int64_t blocks_ready_ = 0;
   int64_t violations_ = 0;
   SimDuration total_tardiness_ = 0;
   int64_t max_buffered_ = 0;
-  // End-of-playback instants of the blocks buffered at the last ready time,
-  // in order, behind a prefix of `drained_` instants that had passed by
-  // then. The prefix is dropped once it is half the vector, so the history
-  // stays proportional to the occupancy, not to the blocks played.
+  // End-of-playback instants of blocks already ready, in order; a prefix
+  // pointer tracks how many have drained by the latest ready time. Every
+  // instant is kept: a round nested in another's RunUntil queries at the
+  // outer round's start, before ready times the outer round reported.
   std::vector<SimTime> play_ends_;
   size_t drained_ = 0;
 };

@@ -207,9 +207,11 @@ TEST(PlaybackConsumerTest, BufferOccupancyTracksUnplayedBlocks) {
 
 TEST(PlaybackConsumerTest, TailScanOccupancyMatchesAFullHistoryReference) {
   // 60k blocks: bursts, waits for a free buffer, and late blocks that
-  // glitch and shift every later deadline. The reference keeps every
-  // block's end instant and answers with std::upper_bound; the consumer
-  // keeps only what is still buffered and scans back from the newest.
+  // glitch and shift every later deadline. The reference answers with
+  // std::upper_bound over every block's end instant; the consumer scans
+  // back from the newest. Queries land at, after and before the latest
+  // ready instant (a round nested in another's RunUntil queries at the
+  // outer round's start).
   constexpr SimDuration kBlock = 33'333;
   constexpr int64_t kBlocks = 60'000;
   constexpr int64_t kBuffers = 8;
@@ -225,6 +227,7 @@ TEST(PlaybackConsumerTest, TailScanOccupancyMatchesAFullHistoryReference) {
   };
   SimTime deadline = 2 * kBlock;
   SimTime ready = 0;
+  SimTime previous_ready = 0;
   int64_t violations = 0;
   int64_t max_buffered = 0;
   for (int64_t b = 0; b < kBlocks; ++b) {
@@ -237,6 +240,8 @@ TEST(PlaybackConsumerTest, TailScanOccupancyMatchesAFullHistoryReference) {
       ready += static_cast<SimTime>(rng.NextBelow(kBlock));
     }
     consumer.BlockReady(ready);
+    const SimTime before = previous_ready;
+    previous_ready = ready;
     if (ready > deadline) {
       ++violations;
       deadline = ready;
@@ -246,20 +251,15 @@ TEST(PlaybackConsumerTest, TailScanOccupancyMatchesAFullHistoryReference) {
     max_buffered = std::max(max_buffered, buffered(ready));
 
     const int64_t held = buffered(ready);
-    std::vector<SimTime> queries = {ready, ready + 1, ends.back() - 1, ends.back(),
-                                    ends.back() + kBlock};
     const SimTime some_end = ends[ends.size() - 1 - rng.NextBelow(static_cast<uint64_t>(held))];
-    queries.insert(queries.end(), {some_end - 1, some_end, some_end + 1});
-    for (SimTime t : queries) {
-      if (t < ready) {
-        continue;
-      }
+    for (SimTime t : {ready, ready + 1, ends.back() - 1, ends.back(), ends.back() + kBlock,
+                      some_end - 1, some_end, some_end + 1, before, ready - 1}) {
       ASSERT_EQ(consumer.BufferedAt(t), buffered(t)) << "block " << b << " t=" << t;
       ASSERT_EQ(consumer.NextDrainAfter(t), next_drain(t)) << "block " << b << " t=" << t;
     }
-    for (int64_t cap = 1; cap <= held + 1; ++cap) {
+    for (int64_t cap = 1; cap <= held + 2; ++cap) {
       const SimTime until = consumer.FullUntil(cap);
-      if (cap > held) {
+      if (cap > static_cast<int64_t>(ends.size())) {
         ASSERT_EQ(until, -1) << "block " << b;
         continue;
       }
